@@ -32,6 +32,7 @@ from .ensembles import (
     DeclaredMoments,
     InitialStateRule,
     MomentReport,
+    UniformDraw,
     audit_moments,
     make_fixed,
     make_initial_state,
@@ -89,6 +90,7 @@ __all__ = [
     "EnumerationInfeasibleError",
     "PathCoefficients",
     "QubitState",
+    "UniformDraw",
     "WalkRun",
     "WalkState",
     "AveragedResult",

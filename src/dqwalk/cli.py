@@ -169,6 +169,12 @@ def _resolve_init(args, file_config: dict) -> InitialStateRule:
     return parse_init_spec(spec)
 
 
+def _require_workers(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
+    return args.workers
+
+
 def _require_n(args, file_config: dict) -> int:
     n = _pick(args, file_config, "n")
     if n is None:
@@ -226,7 +232,7 @@ def _cmd_average(args) -> None:
     trials = int(trials)
     audit_draws = int(_pick(args, file_config, "audit_draws", 100_000))
     result = monte_carlo_average(
-        ensemble, init_rule, n, trials, seed, workers=args.workers or 1
+        ensemble, init_rule, n, trials, seed, workers=_require_workers(args)
     )
     audit = audit_moments(ensemble, audit_draws, seed)
     resolved = {
@@ -332,6 +338,7 @@ def _cmd_variance(args) -> None:
     else:
         n_list = parse_n_list(str(raw_n))
     walker_name = _pick(args, file_config, "walker", "classical")
+    workers = _require_workers(args)
     seed = _resolve_seed(args, file_config)
     resolved = {"command": "variance", "walker": walker_name, "n": list(n_list)}
     if walker_name == "classical":
@@ -348,7 +355,7 @@ def _cmd_variance(args) -> None:
         trials = _pick(args, file_config, "trials")
         if trials is None:
             raise ValueError("trials is required for the averaged walker")
-        walker = AveragedWalker(ensemble, init_rule, int(trials), seed, workers=args.workers or 1)
+        walker = AveragedWalker(ensemble, init_rule, int(trials), seed, workers=workers)
         resolved.update(
             {"ensemble": name, "params": params, "init": init_rule.config(),
              "trials": int(trials), "seed": seed}

@@ -44,10 +44,11 @@ def step(state: WalkState, coin: Coin) -> WalkState:
     psi_l = np.concatenate([left, _ZERO])
     psi_r = np.concatenate([_ZERO, right])
     new = WalkState(state.step + 1, psi_l, psi_r)
-    if __debug__:
-        drift = abs(new.norm_sq() - 1.0)
-        assert drift <= EPS_UNIT + new.step * EPS_STEP, (
-            f"norm drift {drift} at step {new.step}"
+    drift = abs(new.norm_sq() - 1.0)
+    budget = EPS_UNIT + new.step * EPS_STEP
+    if not drift <= budget:
+        raise NumericalDriftError(
+            f"total probability drifted by {drift!r} (budget {budget!r}) at step {new.step}"
         )
     return new
 

@@ -26,7 +26,11 @@ Catalog
 Sampling is deterministic per stream.  Normal variates use numpy's
 `Generator.normal` (ziggurat method); batch draws consume the underlying
 bit stream exactly like the same number of single draws, so per-draw
-reproducibility holds no matter how draws are grouped.
+reproducibility holds no matter how draws are grouped.  Ensembles whose
+draws are a transform of uniforms (`UniformDraw`: ribeiro_uniform,
+ribeiro_two_point, mackay_uniform, and the caseII initial state) define
+only that transform, which lets Monte Carlo blocks draw all their trials'
+uniforms at once (`dqwalk.streams.block_uniforms`).
 """
 
 from __future__ import annotations
@@ -49,6 +53,21 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 #: Draws `size` coins as an (size, 4) complex array of (a, b, c, d) rows.
 ParameterDraw = Callable[[np.random.Generator, int], np.ndarray]
+
+
+@dataclass(frozen=True)
+class UniformDraw:
+    """A draw that is a fixed transform of `size` uniforms on [0, 1).
+
+    Calling it draws `transform(rng.random(size))`.  Because the only use
+    of the stream is `random()`, callers holding many streams' uniforms at
+    once may apply `transform` to them directly, with the same result.
+    """
+
+    transform: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.transform(rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -118,13 +137,17 @@ def _rotation_parameters(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_ribeiro_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
-    return _rotation_parameters(rng.uniform(0.0, _TWO_PI, size=size))
+def _uniform_angle(u: np.ndarray) -> np.ndarray:
+    # The expression Generator.uniform(0.0, 2pi) evaluates per draw.
+    return 0.0 + _TWO_PI * u
 
 
-def _draw_ribeiro_two_point(rng: np.random.Generator, size: int, xi: float) -> np.ndarray:
-    theta = np.where(rng.random(size) < 0.5, xi, xi + 0.5 * math.pi)
-    return _rotation_parameters(theta)
+def _ribeiro_uniform_coins(u: np.ndarray) -> np.ndarray:
+    return _rotation_parameters(_uniform_angle(u))
+
+
+def _ribeiro_two_point_coins(u: np.ndarray, xi: float) -> np.ndarray:
+    return _rotation_parameters(np.where(u < 0.5, xi, xi + 0.5 * math.pi))
 
 
 def rotation_coin(theta: float) -> Coin:
@@ -141,7 +164,7 @@ def make_ribeiro_uniform() -> CoinEnsemble:
     """
     return CoinEnsemble(
         name="ribeiro_uniform",
-        draw_parameters=_draw_ribeiro_uniform,
+        draw_parameters=UniformDraw(_ribeiro_uniform_coins),
         declared_moments=DeclaredMoments(0.5, 0.5, 0.0 + 0.0j),
     )
 
@@ -162,7 +185,7 @@ def make_ribeiro_two_point(xi: float) -> CoinEnsemble:
     )
     return CoinEnsemble(
         name="ribeiro_two_point",
-        draw_parameters=partial(_draw_ribeiro_two_point, xi=xi),
+        draw_parameters=UniformDraw(partial(_ribeiro_two_point_coins, xi=xi)),
         params=(("xi", xi),),
         finite_support=support,
         declared_moments=DeclaredMoments(0.5, 0.5, 0.0 + 0.0j),
@@ -181,8 +204,8 @@ def _phase_parameters(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_mackay_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
-    return _phase_parameters(rng.uniform(0.0, _TWO_PI, size=size))
+def _mackay_uniform_coins(u: np.ndarray) -> np.ndarray:
+    return _phase_parameters(_uniform_angle(u))
 
 
 def _draw_mackay_custom(rng: np.random.Generator, size: int, phase_dist) -> np.ndarray:
@@ -203,7 +226,7 @@ def make_mackay(phase_dist: Callable[[np.random.Generator], float] | None = None
     if phase_dist is None:
         return CoinEnsemble(
             name="mackay_uniform",
-            draw_parameters=_draw_mackay_uniform,
+            draw_parameters=UniformDraw(_mackay_uniform_coins),
             declared_moments=DeclaredMoments(0.5, 0.5, 0.0 + 0.0j),
         )
     return CoinEnsemble(
@@ -467,9 +490,9 @@ CASE_I_DEFAULT = QubitState(_INV_SQRT2, 1j * _INV_SQRT2)
 StateDraw = Callable[[np.random.Generator, int], np.ndarray]
 
 
-def _draw_uniform_phase_state(rng: np.random.Generator, size: int) -> np.ndarray:
-    theta = rng.uniform(0.0, _TWO_PI, size=size)
-    out = np.empty((size, 2), dtype=np.complex128)
+def _uniform_phase_states(u: np.ndarray) -> np.ndarray:
+    theta = _uniform_angle(u)
+    out = np.empty((u.size, 2), dtype=np.complex128)
     out[:, 0] = np.cos(theta)
     out[:, 1] = np.sin(theta)
     return out
@@ -540,7 +563,9 @@ def make_initial_state(rule_spec) -> InitialStateRule:
             return InitialStateRule(kind="fixed", case_label="case_i", state=CASE_I_DEFAULT)
         if key in ("caseii", "caseii_uniform_phase", "case_ii"):
             return InitialStateRule(
-                kind="random", case_label="case_ii", draw_parameters=_draw_uniform_phase_state
+                kind="random",
+                case_label="case_ii",
+                draw_parameters=UniformDraw(_uniform_phase_states),
             )
         raise ValueError(f"unknown initial-state rule {rule_spec!r}")
     if isinstance(rule_spec, QubitState):

@@ -1,11 +1,12 @@
 """Monte Carlo averaging over walk realizations and comparison metrics.
 
 Trials are partitioned into fixed-size blocks keyed by absolute trial
-index; each block draws its own per-trial streams, evolves all its
-realizations in one vectorized kernel, and reduces its probabilities with
-numpy's pairwise summation.  The final reduction over block partials is
-ordered, so the averaged result is bit-identical whether blocks run
-serially or across any number of processes.
+index; each block draws its own per-trial streams (all at once for
+`UniformDraw` ensembles), evolves all its realizations in one vectorized
+kernel, and reduces its probabilities with numpy's pairwise summation.
+The final reduction over block partials is ordered, so the averaged
+result is bit-identical whether blocks run serially or across any number
+of processes.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 
 from .core import Coin, Distribution, QubitState, summary_stats
 from .engine import _check_block_norms, _evolve_block, evolve
-from .ensembles import CoinEnsemble, InitialStateRule
+from .ensembles import CoinEnsemble, InitialStateRule, UniformDraw
 from .pathsum import binomial_distribution
-from .streams import COIN_STREAM, INIT_STREAM, substream
+from .streams import COIN_STREAM, INIT_STREAM, block_uniforms, substream
 
 #: Trials per accumulation block.  Fixed (not tuned per run) so that the
 #: reduction tree, and therefore the result, never depends on trial count
@@ -71,6 +72,24 @@ class AveragedResult:
         return self.mean_distribution.to_csv_rows()
 
 
+def _block_draws(
+    draw, sample, master_seed: int, start: int, count: int, stream: int, size: int, width: int
+) -> np.ndarray:
+    """(count, size, width) draws of trials start..start+count-1 on `stream`.
+
+    A `UniformDraw` takes all rows from one `block_uniforms` call; any
+    other draw runs `sample(rng, size)` on each trial's own `substream`.
+    Both give the same rows bit for bit.
+    """
+    if isinstance(draw, UniformDraw):
+        u = block_uniforms(master_seed, start, count, stream, size)
+        return draw.transform(u.reshape(-1)).reshape(count, size, width)
+    out = np.empty((count, size, width), dtype=np.complex128)
+    for i in range(count):
+        out[i] = sample(substream(master_seed, start + i, stream), size)
+    return out
+
+
 def _mc_block(
     ensemble: CoinEnsemble,
     init_rule: InitialStateRule,
@@ -80,15 +99,17 @@ def _mc_block(
     count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sum, sum of squares) of site probabilities over one trial block."""
-    abcd = np.empty((count, n, 4), dtype=np.complex128)
-    initial = np.empty((count, 2), dtype=np.complex128)
-    random_init = init_rule.kind == "random"
-    for i in range(count):
-        trial = start + i
-        abcd[i] = ensemble.sample_batch(substream(master_seed, trial, COIN_STREAM), n)
-        initial[i] = init_rule.draw_batch(
-            substream(master_seed, trial, INIT_STREAM) if random_init else None, 1
-        )[0]
+    abcd = _block_draws(
+        ensemble.draw_parameters, ensemble.sample_batch,
+        master_seed, start, count, COIN_STREAM, n, 4,
+    )
+    if init_rule.kind == "random":
+        initial = _block_draws(
+            init_rule.draw_parameters, init_rule.draw_batch,
+            master_seed, start, count, INIT_STREAM, 1, 2,
+        )[:, 0]
+    else:
+        initial = init_rule.draw_batch(None, count)
     probs = _evolve_block(abcd, initial)
     _check_block_norms(probs, n)
     return probs.sum(axis=0), (probs**2).sum(axis=0)

@@ -154,6 +154,20 @@ class TestAverageCommand:
         proc = run_cli("average", "--ensemble", "ribeiro_uniform", "--n", "4")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "ensemble", [["ribeiro_uniform"], ["shapira", "--sigma", "0.5"]], ids=lambda e: e[0]
+    )
+    def test_seed_beyond_64_bits_exits_2(self, ensemble):
+        proc = run_cli("average", "--ensemble", *ensemble, "--n", "4", "--trials", "10",
+                       "--seed", str(2**70))
+        assert proc.returncode == 2
+        assert "2**64" in proc.stderr
+
+    def test_zero_workers_exits_2(self):
+        proc = run_cli("average", "--n", "4", "--trials", "10", "--workers", "0")
+        assert proc.returncode == 2
+        assert "workers" in proc.stderr
+
 
 class TestMomentsCommand:
     def test_shapira_estimate_matches_closed_form(self, tmp_path):
@@ -196,6 +210,12 @@ class TestVarianceCommand:
     def test_averaged_walker_requires_trials(self):
         proc = run_cli("variance", "--walker", "averaged", "--n", "4,8")
         assert proc.returncode == 2
+
+    def test_zero_workers_exits_2(self):
+        proc = run_cli("variance", "--walker", "averaged", "--n", "4", "--trials", "10",
+                       "--workers", "0")
+        assert proc.returncode == 2
+        assert "workers" in proc.stderr
 
     def test_unknown_walker_exits_2(self):
         proc = run_cli("variance", "--walker", "quantumish", "--n", "4")

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dqwalk
 from conftest import haar_coins
 from dqwalk import (
     CASE_I_DEFAULT,
@@ -77,6 +82,26 @@ class TestStep:
         assert state.amplitude(-2) == (0.6 + 0j, 0j)
         assert state.amplitude(2) == (0j, 0.8 + 0j)
         assert state.amplitude(0) == (0j, 0j)
+
+    def test_drift_check_survives_optimized_mode(self):
+        # Under -O every assert is stripped; the drift check must still raise.
+        program = (
+            "from dqwalk import Coin, NumericalDriftError, QubitState, evolve\n"
+            "try:\n"
+            "    evolve(QubitState(1, 0), [Coin(2, 0, 0, 2)])\n"
+            "except NumericalDriftError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    raise SystemExit('no drift error')\n"
+        )
+        src = str(Path(dqwalk.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", program],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "drifted" in proc.stdout
 
 
 class TestEvolve:

@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+import dqwalk.stats
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
     AveragedWalker,
     ClassicalWalker,
+    CoinEnsemble,
     DeterministicWalker,
     Distribution,
+    InitialStateRule,
     QubitState,
     binomial_distribution,
     evolve,
     make_fixed,
     make_initial_state,
+    make_mackay,
     make_ribeiro_two_point,
     make_ribeiro_uniform,
     monte_carlo_average,
@@ -80,6 +86,54 @@ class TestMonteCarloAverage:
             "n", "trials", "seed", "mean", "stderr_max", "tv_to_binomial", "config_digest",
         }
         assert payload["n"] == 4 and payload["trials"] == 64 and payload["seed"] == 2
+
+
+UNIFORM_CATALOG = [
+    make_ribeiro_uniform,
+    lambda: make_ribeiro_two_point(0.3),
+    make_mackay,
+]
+
+
+def as_custom_ensemble(ensemble: CoinEnsemble) -> CoinEnsemble:
+    """The same draws behind a plain callable, which takes the per-trial path."""
+    return CoinEnsemble(
+        name=ensemble.name, draw_parameters=partial(ensemble.draw_parameters),
+        params=ensemble.params,
+    )
+
+
+def as_custom_rule(rule: InitialStateRule) -> InitialStateRule:
+    if rule.kind == "fixed":
+        return rule
+    return InitialStateRule(
+        kind=rule.kind, case_label=rule.case_label,
+        draw_parameters=partial(rule.draw_parameters),
+    )
+
+
+class TestBlockStreams:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("init", ["caseI", "caseII"])
+    @pytest.mark.parametrize("factory", UNIFORM_CATALOG)
+    def test_block_path_equals_per_trial_path(self, factory, init, workers):
+        ensemble, rule = factory(), make_initial_state(init)
+        block = monte_carlo_average(ensemble, rule, 5, 1500, 2**64 - 1, workers=workers)
+        per_trial = monte_carlo_average(
+            as_custom_ensemble(ensemble), as_custom_rule(rule), 5, 1500, 2**64 - 1,
+            workers=workers,
+        )
+        assert np.array_equal(block.mean_distribution.probs, per_trial.mean_distribution.probs)
+        assert np.array_equal(block.stderr, per_trial.stderr)
+        assert block.to_json_dict() == per_trial.to_json_dict()
+
+    @pytest.mark.parametrize("factory", UNIFORM_CATALOG)
+    def test_uniform_ensembles_build_no_per_trial_generator(self, factory, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("per-trial stream built on the block path")
+
+        monkeypatch.setattr(dqwalk.stats, "substream", forbidden)
+        monte_carlo_average(factory(), make_initial_state("caseII"), 4, 50, 3)
 
 
 class TestTvDistance:
