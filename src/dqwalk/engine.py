@@ -11,7 +11,11 @@ unitary for every horizon.
 
 The private block kernel `_evolve_block` evolves many realizations at
 once with the same elementwise arithmetic as `step`, which keeps single
-runs and Monte Carlo trials bit-identical.
+runs and Monte Carlo trials bit-identical.  It steps the trials in
+sub-blocks whose size is derived from n alone, in amplitude buffers
+allocated once per call.  A trial's arithmetic does not depend on the
+sub-block it falls in, so results are bit-identical at any block or
+sub-block size.
 """
 
 from __future__ import annotations
@@ -86,28 +90,63 @@ def evolve(initial: QubitState, coins: Sequence[Coin], keep_states: bool = False
     )
 
 
+#: Bytes of amplitude working set per kernel sub-block: the left, two right
+#: and one scratch complex amplitudes of every trial in it.
+WORKSET = 1 << 20
+
+
 def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """Occupation probabilities for a block of independent realizations.
 
     `abcd` has shape (trials, n, 4) holding each trial's coin entries per
     step; `initial` has shape (trials, 2).  Returns (trials, n+1) site
     probabilities.  Row t is bit-identical to evolving trial t alone.
+
+    Trials are stepped in sub-blocks of `rows` trials, sized from n so
+    that the four amplitude buffers fill WORKSET bytes.  The buffers are
+    allocated once per call and hold a sub-block site-major, (n+1, rows):
+    the first w sites of every trial are one contiguous stretch, so each
+    step is a handful of in-place ufunc calls on contiguous memory.  The
+    products keep `step`'s operand order (coin entry first): numpy's
+    complex multiply may fuse a product into a sum, so swapping operands
+    can change the last bit.
     """
-    trials = abcd.shape[0]
-    n = abcd.shape[1]
-    psi_l = initial[:, 0:1].astype(np.complex128)
-    psi_r = initial[:, 1:2].astype(np.complex128)
-    pad = np.zeros((trials, 1), dtype=np.complex128)
-    for j in range(n):
-        a = abcd[:, j, 0:1]
-        b = abcd[:, j, 1:2]
-        c = abcd[:, j, 2:3]
-        d = abcd[:, j, 3:4]
-        left = a * psi_l + b * psi_r
-        right = c * psi_l + d * psi_r
-        psi_l = np.concatenate([left, pad], axis=1)
-        psi_r = np.concatenate([pad, right], axis=1)
-    return psi_l.real**2 + psi_l.imag**2 + psi_r.real**2 + psi_r.imag**2
+    trials, n = abcd.shape[0], abcd.shape[1]
+    rows = max(8, min(trials, WORKSET // (64 * (n + 1))))
+    amplitudes = np.empty((4, (n + 1) * rows), dtype=np.complex128)
+    coin_buffer = np.empty(n * 4 * rows, dtype=abcd.dtype)
+    probs = np.empty((trials, n + 1))
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        m = stop - start
+        l, r, r_next, t = amplitudes[:, : (n + 1) * m].reshape(4, n + 1, m)
+        # coins[j] unpacks into the (1, m) rows a, b, c, d of step j.
+        coins = coin_buffer[: n * 4 * m].reshape(n, 4, 1, m)
+        np.copyto(coins[:, :, 0], abcd[start:stop].transpose(1, 2, 0))
+        # Cells a step does not write must read as zero: the left cell past
+        # the support and the first right cell.
+        l.fill(0)
+        l[0] = initial[start:stop, 0]
+        r[0] = initial[start:stop, 1]
+        for j in range(n):
+            r_next[0] = 0
+            a, b, c, d = coins[j]
+            w = j + 1
+            lw, rw, tw, new = l[:w], r[:w], t[:w], r_next[1 : w + 1]
+            np.multiply(c, lw, out=new)
+            np.multiply(d, rw, out=tw)
+            np.add(new, tw, out=new)
+            np.multiply(a, lw, out=tw)
+            np.multiply(b, rw, out=lw)
+            np.add(tw, lw, out=lw)
+            r, r_next = r_next, r
+        out = probs[start:stop].T
+        tr = t.real
+        np.square(l.real, out=out)
+        np.add(out, np.square(l.imag, out=tr), out=out)
+        np.add(out, np.square(r.real, out=tr), out=out)
+        np.add(out, np.square(r.imag, out=tr), out=out)
+    return probs
 
 
 def _check_block_norms(probs: np.ndarray, n: int) -> None:

@@ -503,7 +503,9 @@ class InitialStateRule:
     """Fixed or random initial chirality state of a walk realization.
 
     Fixed rules never touch the stream; random rules draw one state per
-    realization, vectorizable via `draw_batch`.
+    realization, vectorizable via `draw_batch`.  A fixed rule needs a
+    `state` and a random one `draw_parameters`; construction raises
+    ValueError otherwise.
     """
 
     kind: Literal["fixed", "random"]
@@ -511,27 +513,33 @@ class InitialStateRule:
     state: QubitState | None = None
     draw_parameters: StateDraw | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind == "fixed":
+            if self.state is None:
+                raise ValueError("a fixed initial-state rule needs a state")
+        elif self.kind == "random":
+            if self.draw_parameters is None:
+                raise ValueError("a random initial-state rule needs draw_parameters")
+        else:
+            raise ValueError(f"initial-state rule kind must be fixed or random, got {self.kind!r}")
+
     def draw(self, rng: np.random.Generator | None = None) -> QubitState:
         if self.kind == "fixed":
-            assert self.state is not None
             return self.state
         if rng is None:
             raise ValueError("a random initial-state rule needs a generator")
-        assert self.draw_parameters is not None
         alpha, beta = self.draw_parameters(rng, 1)[0]
         return QubitState(complex(alpha), complex(beta))
 
     def draw_batch(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
         """(size, 2) array of (alpha, beta) rows."""
         if self.kind == "fixed":
-            assert self.state is not None
             out = np.empty((size, 2), dtype=np.complex128)
             out[:, 0] = self.state.alpha
             out[:, 1] = self.state.beta
             return out
         if rng is None:
             raise ValueError("a random initial-state rule needs a generator")
-        assert self.draw_parameters is not None
         return np.asarray(self.draw_parameters(rng, size), dtype=np.complex128)
 
     def config(self):
@@ -539,7 +547,6 @@ class InitialStateRule:
             return "caseII"
         if self.case_label == "case_i":
             return "caseI"
-        assert self.state is not None
         return [
             [self.state.alpha.real, self.state.alpha.imag],
             [self.state.beta.real, self.state.beta.imag],

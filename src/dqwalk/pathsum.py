@@ -245,25 +245,16 @@ def exact_average(
     phi = init_rule.draw()
     initial_row = np.array([phi.alpha, phi.beta], dtype=np.complex128)
 
+    # Sequence k has support index (k // s^(n-1-j)) % s at step j: the
+    # order of itertools.product(range(s), repeat=n).
+    place_values = support_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
     acc = np.zeros(n + 1)
-    chunk_indices: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        nonlocal acc
-        if not chunk_indices:
-            return
-        idx = np.array(chunk_indices)
-        abcd = entry_rows[idx]
-        probs = _evolve_block(abcd, np.tile(initial_row, (idx.shape[0], 1)))
+    for start in range(0, sequences, _ENUMERATION_CHUNK):
+        k = np.arange(start, min(start + _ENUMERATION_CHUNK, sequences), dtype=np.int64)
+        idx = k[:, np.newaxis] // place_values % support_size
+        probs = _evolve_block(entry_rows[idx], np.tile(initial_row, (idx.shape[0], 1)))
         _check_block_norms(probs, n)
         acc += np.prod(weights[idx], axis=1) @ probs
-        chunk_indices.clear()
-
-    for combo in itertools.product(range(support_size), repeat=n):
-        chunk_indices.append(combo)
-        if len(chunk_indices) >= _ENUMERATION_CHUNK:
-            flush()
-    flush()
     return Distribution(n, acc)
 
 

@@ -6,13 +6,16 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dqwalk
-from conftest import haar_coins
+from conftest import _draw_haar, haar_coins
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
@@ -28,6 +31,7 @@ from dqwalk import (
     split_coin,
     step,
 )
+from dqwalk.engine import WORKSET, _evolve_block
 
 
 def brute_force_distribution(phi: QubitState, coins) -> dict[int, float]:
@@ -167,6 +171,82 @@ class TestEvolve:
         np.testing.assert_allclose(
             combined.psi_r, alpha * run0.psi_r + beta * run1.psi_r, atol=1e-12
         )
+
+
+def concatenate_kernel(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """Reference block kernel: whole-block steps with fresh arrays per step.
+
+    The arithmetic `_evolve_block` must reproduce bit for bit: the same
+    products and sums in the same order, with zero cells appended by
+    concatenation.
+    """
+    trials, n = abcd.shape[0], abcd.shape[1]
+    psi_l = initial[:, 0:1].astype(np.complex128)
+    psi_r = initial[:, 1:2].astype(np.complex128)
+    pad = np.zeros((trials, 1), dtype=np.complex128)
+    for j in range(n):
+        a, b, c, d = (abcd[:, j, k : k + 1] for k in range(4))
+        left = a * psi_l + b * psi_r
+        right = c * psi_l + d * psi_r
+        psi_l = np.concatenate([left, pad], axis=1)
+        psi_r = np.concatenate([pad, right], axis=1)
+    return psi_l.real**2 + psi_l.imag**2 + psi_r.real**2 + psi_r.imag**2
+
+
+def haar_block(seed: int, trials: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Haar coins of shape (trials, n, 4) and Haar initial states (trials, 2)."""
+    rng = np.random.default_rng(seed)
+    abcd = _draw_haar(rng, trials * n).reshape(trials, n, 4)
+    initial = np.ascontiguousarray(_draw_haar(rng, trials)[:, [0, 2]])
+    return abcd, initial
+
+
+def sub_block_rows(n: int) -> int:
+    return WORKSET // (64 * (n + 1))
+
+
+@pytest.fixture(scope="module")
+def block_320():
+    return haar_block(320, 1024, 320)
+
+
+class TestEvolveBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        shape=st.sampled_from(["one", "seven", "below", "exact", "above"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_single_evolutions(self, n, shape, seed):
+        rows = sub_block_rows(n)
+        trials = {"one": 1, "seven": 7, "below": rows - 1, "exact": rows, "above": rows + 1}[shape]
+        abcd, initial = haar_block(seed, trials, n)
+        probs = _evolve_block(abcd, initial)
+        assert probs.shape == (trials, n + 1)
+        # Every row of small blocks; else the first row, the rows either
+        # side of the first sub-block boundary and the last row.
+        checked = range(trials) if trials <= 8 else {0, rows - 1, rows, trials - 1}
+        for t in sorted(t for t in checked if t < trials):
+            coins = [Coin(*map(complex, row)) for row in abcd[t]]
+            expected = evolve(QubitState(*initial[t]), coins).distribution().probs
+            assert np.array_equal(probs[t], expected), t
+
+    def test_several_sub_blocks_equal_concatenate_kernel(self, block_320):
+        abcd, initial = block_320
+        assert 1024 % sub_block_rows(320) != 0  # full sub-blocks plus a remainder
+        assert np.array_equal(_evolve_block(abcd, initial), concatenate_kernel(abcd, initial))
+
+    def test_step_loop_allocates_nothing(self, block_320):
+        # Only the output and the fixed sub-block buffers may be allocated;
+        # a per-step temporary of the whole block alone would be 5.3 MB.
+        abcd, initial = block_320
+        tracemalloc.start()
+        try:
+            probs = _evolve_block(abcd, initial)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= probs.nbytes + 4 * 2**20
 
 
 class TestRunRealization:

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dqwalk
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
+    InitialStateRule,
     audit_moments,
     make_fixed,
     make_initial_state,
@@ -259,6 +265,39 @@ class TestInitialStates:
     def test_random_rule_requires_generator(self):
         with pytest.raises(ValueError):
             make_initial_state("caseII").draw()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "fixed", "case_label": "none"},
+            {"kind": "random", "case_label": "case_ii"},
+            {"kind": "mixed", "case_label": "none", "state": CASE_I_DEFAULT},
+        ],
+        ids=["fixed_without_state", "random_without_draw", "unknown_kind"],
+    )
+    def test_malformed_rule_rejected(self, fields):
+        with pytest.raises(ValueError):
+            InitialStateRule(**fields)
+
+    def test_malformed_rule_rejected_in_optimized_mode(self):
+        # Under -O every assert is stripped; construction must still raise.
+        program = (
+            "from dqwalk import InitialStateRule\n"
+            "try:\n"
+            "    InitialStateRule(kind='fixed', case_label='none')\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    raise SystemExit('malformed rule accepted')\n"
+        )
+        src = str(Path(dqwalk.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", program],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "needs a state" in proc.stdout
 
 
 class TestStreams:

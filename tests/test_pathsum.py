@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import haar_coins, make_haar
 from dqwalk import (
     BASIS_LABELS,
     CASE_I_DEFAULT,
+    CoinEnsemble,
     EnumerationInfeasibleError,
     QubitState,
     binomial_distribution,
@@ -31,6 +33,8 @@ from dqwalk import (
     term_count,
     tv_distance,
 )
+from dqwalk import pathsum
+from dqwalk.engine import _evolve_block
 
 
 def basis_matrices(coin):
@@ -229,6 +233,27 @@ class TestExactAverage:
         # explicit caps are honoured too
         with pytest.raises(EnumerationInfeasibleError):
             exact_average(ensemble, make_initial_state("caseI"), 4, max_sequences=15)
+
+    def test_enumeration_order_and_chunks_match_itertools(self, monkeypatch):
+        # A three-coin support with unequal weights, enumerated in chunks of
+        # 7 sequences (the last one partial), against the same sum built
+        # from itertools.product tuples: identical bits.
+        monkeypatch.setattr(pathsum, "_ENUMERATION_CHUNK", 7)
+        rng = np.random.default_rng(11)
+        support = tuple(zip(haar_coins(rng, 3), (0.5, 0.3, 0.2)))
+        ensemble = CoinEnsemble(name="three", draw_parameters=None, finite_support=support)
+        phi = QubitState(0.6, 0.8j)
+        n = 5
+        rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in support])
+        weights = np.array([w for _, w in support])
+        combos = list(itertools.product(range(3), repeat=n))
+        expected = np.zeros(n + 1)
+        for start in range(0, len(combos), 7):
+            idx = np.array(combos[start : start + 7])
+            initial = np.tile([phi.alpha, phi.beta], (len(idx), 1))
+            expected += np.prod(weights[idx], axis=1) @ _evolve_block(rows[idx], initial)
+        dist = exact_average(ensemble, make_initial_state(phi), n)
+        assert np.array_equal(dist.probs, expected)
 
     def test_fixed_hadamard_differs_from_binomial(self):
         # the deterministic walk is the counterexample: balance holds but
