@@ -16,6 +16,13 @@ sub-blocks whose size is derived from n alone, in amplitude buffers
 allocated once per call.  A trial's arithmetic does not depend on the
 sub-block it falls in, so results are bit-identical at any block or
 sub-block size.
+
+The kernel starts either at the origin, from one qubit state per trial,
+or from amplitude states already evolved over some steps, and then
+applies the remaining coins.  Both forms run the same coin step
+(`_coin_step`), so finishing a walk from its state after a prefix of its
+coins gives the same bits as evolving it from the origin; exact averages
+use this to step each shared coin prefix once.
 """
 
 from __future__ import annotations
@@ -95,57 +102,79 @@ def evolve(initial: QubitState, coins: Sequence[Coin], keep_states: bool = False
 WORKSET = 1 << 20
 
 
+def _coin_step(a, b, c, d, l, r, l_out, r_out, t) -> None:
+    """One walk step on site-major amplitude arrays, in six ufunc calls.
+
+    Writes the right-moving part c*l + d*r to `r_out` and the left-moving
+    part a*l + b*r to `l_out` (which may be `l` itself), using `t` as
+    scratch.  The coin entries a, b, c, d are scalars or arrays that
+    broadcast against `l`.  The products keep `step`'s operand order (coin
+    entry first): numpy's complex multiply may fuse a product into a sum,
+    so swapping operands can change the last bit.
+    """
+    np.multiply(c, l, out=r_out)
+    np.multiply(d, r, out=t)
+    np.add(r_out, t, out=r_out)
+    np.multiply(a, l, out=t)
+    np.multiply(b, r, out=l_out)
+    np.add(t, l_out, out=l_out)
+
+
 def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """Occupation probabilities for a block of independent realizations.
 
-    `abcd` has shape (trials, n, 4) holding each trial's coin entries per
-    step; `initial` has shape (trials, 2).  Returns (trials, n+1) site
-    probabilities.  Row t is bit-identical to evolving trial t alone.
+    `abcd` has shape (trials, q, 4) holding each trial's coin entries per
+    step.  `initial` is either (trials, 2), one qubit state per trial at
+    the origin, or (trials, w0, 2), amplitude states (psi_l, psi_r) over
+    w0 sites after w0-1 steps, as a `WalkState` holds them; the origin
+    form is the w0 = 1 case.  Returns (trials, w0+q) site probabilities.
+    Row t is bit-identical to evolving trial t alone, from the origin
+    through all of its coins.
 
-    Trials are stepped in sub-blocks of `rows` trials, sized from n so
-    that the four amplitude buffers fill WORKSET bytes.  The buffers are
-    allocated once per call and hold a sub-block site-major, (n+1, rows):
-    the first w sites of every trial are one contiguous stretch, so each
-    step is a handful of in-place ufunc calls on contiguous memory.  The
-    products keep `step`'s operand order (coin entry first): numpy's
-    complex multiply may fuse a product into a sum, so swapping operands
-    can change the last bit.
+    Trials are stepped in sub-blocks of `rows` trials, sized from the
+    final width so that the four amplitude buffers fill WORKSET bytes.
+    The buffers are allocated once per call and hold a sub-block
+    site-major, (w0+q, rows): the first w sites of every trial are one
+    contiguous stretch, so each step is one `_coin_step` on contiguous
+    memory.
     """
-    trials, n = abcd.shape[0], abcd.shape[1]
-    rows = max(8, min(trials, WORKSET // (64 * (n + 1))))
-    amplitudes = np.empty((4, (n + 1) * rows), dtype=np.complex128)
-    coin_buffer = np.empty(n * 4 * rows, dtype=abcd.dtype)
-    probs = np.empty((trials, n + 1))
+    if initial.ndim == 2:
+        initial = initial[:, np.newaxis, :]
+    trials, q = abcd.shape[0], abcd.shape[1]
+    w0 = initial.shape[1]
+    width = w0 + q
+    rows = max(8, min(trials, WORKSET // (64 * width)))
+    amplitudes = np.empty((4, width * rows), dtype=np.complex128)
+    coin_buffer = np.empty(q * 4 * rows, dtype=abcd.dtype)
+    square_buffer = np.empty(width * rows)
+    probs = np.empty((trials, width))
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
         m = stop - start
-        l, r, r_next, t = amplitudes[:, : (n + 1) * m].reshape(4, n + 1, m)
+        l, r, r_next, t = amplitudes[:, : width * m].reshape(4, width, m)
         # coins[j] unpacks into the (1, m) rows a, b, c, d of step j.
-        coins = coin_buffer[: n * 4 * m].reshape(n, 4, 1, m)
+        coins = coin_buffer[: q * 4 * m].reshape(q, 4, 1, m)
         np.copyto(coins[:, :, 0], abcd[start:stop].transpose(1, 2, 0))
-        # Cells a step does not write must read as zero: the left cell past
+        # Cells a step does not write must read as zero: the left cells past
         # the support and the first right cell.
-        l.fill(0)
-        l[0] = initial[start:stop, 0]
-        r[0] = initial[start:stop, 1]
-        for j in range(n):
+        l[w0:] = 0
+        np.copyto(l[:w0], initial[start:stop, :, 0].T)
+        np.copyto(r[:w0], initial[start:stop, :, 1].T)
+        for j in range(q):
             r_next[0] = 0
             a, b, c, d = coins[j]
-            w = j + 1
-            lw, rw, tw, new = l[:w], r[:w], t[:w], r_next[1 : w + 1]
-            np.multiply(c, lw, out=new)
-            np.multiply(d, rw, out=tw)
-            np.add(new, tw, out=new)
-            np.multiply(a, lw, out=tw)
-            np.multiply(b, rw, out=lw)
-            np.add(tw, lw, out=lw)
+            w = w0 + j
+            lw = l[:w]
+            _coin_step(a, b, c, d, lw, r[:w], lw, r_next[1 : w + 1], t[:w])
             r, r_next = r_next, r
-        out = probs[start:stop].T
+        # Sum the squares site-major, then write the rows out in one copy.
+        out = square_buffer[: width * m].reshape(width, m)
         tr = t.real
         np.square(l.real, out=out)
         np.add(out, np.square(l.imag, out=tr), out=out)
         np.add(out, np.square(r.real, out=tr), out=out)
         np.add(out, np.square(r.imag, out=tr), out=out)
+        np.copyto(probs[start:stop].T, out)
     return probs
 
 
@@ -153,7 +182,7 @@ def _check_block_norms(probs: np.ndarray, n: int) -> None:
     totals = probs.sum(axis=1)
     drift = np.abs(totals - 1.0)
     budget = EPS_UNIT + n * EPS_STEP
-    if np.any(drift > budget):
+    if not np.all(drift <= budget):
         worst = float(drift.max())
         raise NumericalDriftError(
             f"total probability drifted by {worst!r} (budget {budget!r}) at step {n}"

@@ -25,7 +25,10 @@ basis and never read.
 `exact_average` turns a finite-support coin ensemble into the exactly
 weighted ensemble average of the walk by enumerating all coin sequences,
 and `binomial_law` gives the classical symmetric random walk mass the
-averaged disordered walk collapses to.
+averaged disordered walk collapses to.  Sequences that share a coin
+prefix share the walk state after it, so the enumeration steps a prefix
+trie level by level, each node once per child coin, and hands the block
+kernel only each sequence's last step.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Coin, Distribution, QubitState, WalkState
-from .engine import _check_block_norms, _evolve_block
+from .engine import _check_block_norms, _coin_step, _evolve_block
 from .ensembles import CoinEnsemble, InitialStateRule
 
 BASIS_LABELS = ("P", "Q", "R", "S")
@@ -200,6 +203,56 @@ class EnumerationInfeasibleError(RuntimeError):
 
 _ENUMERATION_CHUNK = 1 << 14
 
+#: Sequences whose parent states are gathered for one kernel call.
+_PIECE = 1 << 11
+
+
+def _prefix_states(
+    entry_rows: np.ndarray, initial_row: np.ndarray, n: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk states after the first n-1 coins of sequences start..stop-1.
+
+    Sequences are numbered in `itertools.product` order over the s
+    support coins, so the (n-1)-coin prefix of sequence k is k // s and
+    the prefixes of length L that the range needs are the consecutive
+    integers start // s^(n-L) .. (stop-1) // s^(n-L).  Level L is built
+    from level L-1 by stepping, for each coin, every parent that has a
+    needed child under that coin; the children of one coin are stored in
+    consecutive columns.  Returns the site-major amplitude arrays l, r of
+    shape (n, nodes) and `column`, where prefix p sits in column
+    column[p - start // s].
+    """
+    s = len(entry_rows)
+    l = initial_row[np.newaxis, :1].copy()
+    r = initial_row[np.newaxis, 1:].copy()
+    prefixes = np.zeros(1, dtype=np.int64)
+    for level in range(1, n):
+        scale = s ** (n - level)
+        lo, hi = start // scale, (stop - 1) // scale
+        w = level
+        new_l = np.empty((w + 1, hi - lo + 1), dtype=np.complex128)
+        new_r = np.empty_like(new_l)
+        new_l[w] = 0
+        new_r[0] = 0
+        new_prefixes = np.empty(hi - lo + 1, dtype=np.int64)
+        scratch = np.empty(w * prefixes.size, dtype=np.complex128)
+        offset = 0
+        for coin, (a, b, c, d) in enumerate(entry_rows):
+            children = prefixes * s + coin
+            keep = (children >= lo) & (children <= hi)
+            pl, pr = (l, r) if keep.all() else (l[:, keep], r[:, keep])
+            m = pl.shape[1]
+            cols = slice(offset, offset + m)
+            _coin_step(
+                a, b, c, d, pl, pr, new_l[:w, cols], new_r[1:, cols], scratch[: w * m].reshape(w, m)
+            )
+            new_prefixes[cols] = children[keep]
+            offset += m
+        l, r, prefixes = new_l, new_r, new_prefixes
+    column = np.empty(prefixes.size, dtype=np.int64)
+    column[prefixes - start // s] = np.arange(prefixes.size)
+    return l, r, column
+
 
 def exact_average(
     ensemble: CoinEnsemble,
@@ -212,6 +265,14 @@ def exact_average(
     Enumerates the s^n sequences of a finite-support ensemble with their
     product weights and averages the per-sequence distributions.  Needs a
     fixed initial state and s^n <= max_sequences.
+
+    Sequences are reduced in chunks of `_ENUMERATION_CHUNK`, in
+    `itertools.product` order.  For each chunk a prefix trie steps every
+    distinct (n-1)-coin prefix once (`_prefix_states`); each sequence's
+    parent state is then gathered, `_PIECE` rows at a time, and the block
+    kernel applies its last coin.  A sequence's arithmetic is the same as
+    evolving it alone from the origin, so the result is bit-identical at
+    any trie or piece size.
 
     Raises
     ------
@@ -245,14 +306,31 @@ def exact_average(
     phi = init_rule.draw()
     initial_row = np.array([phi.alpha, phi.beta], dtype=np.complex128)
 
-    # Sequence k has support index (k // s^(n-1-j)) % s at step j: the
-    # order of itertools.product(range(s), repeat=n).
-    place_values = support_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
     acc = np.zeros(n + 1)
     for start in range(0, sequences, _ENUMERATION_CHUNK):
-        k = np.arange(start, min(start + _ENUMERATION_CHUNK, sequences), dtype=np.int64)
-        idx = k[:, np.newaxis] // place_values % support_size
-        probs = _evolve_block(entry_rows[idx], np.tile(initial_row, (idx.shape[0], 1)))
+        stop = min(start + _ENUMERATION_CHUNK, sequences)
+        k = np.arange(start, stop, dtype=np.int64)
+        # Sequence k has support index (k // s^(n-1-j)) % s at step j: the
+        # order of itertools.product(range(s), repeat=n).
+        idx = np.empty((stop - start, n), dtype=np.int64)
+        quotient = k.copy()
+        for j in range(n - 1, -1, -1):
+            np.divmod(quotient, support_size, out=(quotient, idx[:, j]))
+        l, r, column = _prefix_states(entry_rows, initial_row, n, start, stop)
+        parents = column[k // support_size - start // support_size]
+        last_coins = entry_rows[idx[:, -1:]]
+        probs = np.empty((stop - start, n + 1))
+        gathered = np.empty((2, n, min(_PIECE, stop - start)), dtype=np.complex128)
+        for first in range(0, stop - start, _PIECE):
+            piece = slice(first, first + _PIECE)
+            cols = parents[piece]
+            # A site-major gather, viewed as the kernel's (rows, n, 2) states.
+            # The columns are in range; mode="clip" keeps take from buffering
+            # `out` for its bounds check.
+            states = gathered[:, :, : cols.size]
+            np.take(l, cols, axis=1, out=states[0], mode="clip")
+            np.take(r, cols, axis=1, out=states[1], mode="clip")
+            probs[piece] = _evolve_block(last_coins[piece], states.transpose(2, 1, 0))
         _check_block_norms(probs, n)
         acc += np.prod(weights[idx], axis=1) @ probs
     return Distribution(n, acc)

@@ -231,6 +231,26 @@ class TestEvolveBlock:
             expected = evolve(QubitState(*initial[t]), coins).distribution().probs
             assert np.array_equal(probs[t], expected), t
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(0, 24),
+        trials=st.sampled_from([1, 2, 9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_amplitude_starts_equal_origin_starts(self, n, trials, seed):
+        # Finishing every walk from its state after n0 coins gives the bits
+        # of evolving it from the origin, at every split point n0, n0 = n
+        # (no coins left) included.
+        abcd, initial = haar_block(seed, trials, n)
+        expected = _evolve_block(abcd, initial)
+        coins = [[Coin(*map(complex, row)) for row in abcd[t]] for t in range(trials)]
+        for n0 in range(n + 1):
+            finals = [evolve(QubitState(*initial[t]), coins[t][:n0]).final for t in range(trials)]
+            states = np.array([np.stack((f.psi_l, f.psi_r), axis=-1) for f in finals])
+            assert states.shape == (trials, n0 + 1, 2)
+            probs = _evolve_block(abcd[:, n0:], states)
+            assert np.array_equal(probs, expected), n0
+
     def test_several_sub_blocks_equal_concatenate_kernel(self, block_320):
         abcd, initial = block_320
         assert 1024 % sub_block_rows(320) != 0  # full sub-blocks plus a remainder

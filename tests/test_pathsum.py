@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_coins, make_haar
+from conftest import _draw_haar, haar_coins, make_haar
 from dqwalk import (
     BASIS_LABELS,
     CASE_I_DEFAULT,
@@ -200,6 +201,40 @@ class TestBinomialLaw:
             assert dist.prob(k) == binomial_law(9, k)
 
 
+def whole_sequence_average(support, phi: QubitState, n: int, chunk: int) -> np.ndarray:
+    """Oracle: evolve every coin sequence whole from the origin.
+
+    Sums chunks of `chunk` sequences in itertools.product order, each
+    weighted by its product of support weights, as enumeration did before
+    sequences shared their coin prefixes.
+    """
+    if n == 0:
+        return np.ones(1)
+    rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in support])
+    weights = np.array([w for _, w in support])
+    combos = list(itertools.product(range(len(support)), repeat=n))
+    total = np.zeros(n + 1)
+    for start in range(0, len(combos), chunk):
+        idx = np.array(combos[start : start + chunk])
+        initial = np.tile([phi.alpha, phi.beta], (len(idx), 1))
+        total += np.prod(weights[idx], axis=1) @ _evolve_block(rows[idx], initial)
+    return total
+
+
+@st.composite
+def enumeration_cases(draw):
+    """(support, phi, n, chunk): 1-4 Haar coins, a random state, s^n <= 1024."""
+    s = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 9 if s <= 2 else {3: 6, 4: 5}[s]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(s) + 0.05
+    weights /= weights.sum()
+    support = tuple(zip(haar_coins(rng, s), weights.tolist()))
+    alpha, beta = _draw_haar(rng, 1)[0, [0, 2]]
+    chunk = draw(st.sampled_from([1, 2, 7, 64, s ** draw(st.integers(0, n))]))
+    return support, QubitState(complex(alpha), complex(beta)), n, chunk
+
+
 class TestExactAverage:
     def test_two_point_n4_reproduces_central_mass(self):
         ensemble = make_ribeiro_two_point(math.pi / 4)
@@ -234,26 +269,37 @@ class TestExactAverage:
         with pytest.raises(EnumerationInfeasibleError):
             exact_average(ensemble, make_initial_state("caseI"), 4, max_sequences=15)
 
-    def test_enumeration_order_and_chunks_match_itertools(self, monkeypatch):
-        # A three-coin support with unequal weights, enumerated in chunks of
-        # 7 sequences (the last one partial), against the same sum built
-        # from itertools.product tuples: identical bits.
-        monkeypatch.setattr(pathsum, "_ENUMERATION_CHUNK", 7)
-        rng = np.random.default_rng(11)
-        support = tuple(zip(haar_coins(rng, 3), (0.5, 0.3, 0.2)))
-        ensemble = CoinEnsemble(name="three", draw_parameters=None, finite_support=support)
-        phi = QubitState(0.6, 0.8j)
-        n = 5
-        rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in support])
-        weights = np.array([w for _, w in support])
-        combos = list(itertools.product(range(3), repeat=n))
-        expected = np.zeros(n + 1)
-        for start in range(0, len(combos), 7):
-            idx = np.array(combos[start : start + 7])
-            initial = np.tile([phi.alpha, phi.beta], (len(idx), 1))
-            expected += np.prod(weights[idx], axis=1) @ _evolve_block(rows[idx], initial)
-        dist = exact_average(ensemble, make_initial_state(phi), n)
-        assert np.array_equal(dist.probs, expected)
+    @settings(max_examples=40, deadline=None)
+    @given(case=enumeration_cases())
+    @example(
+        case=(
+            tuple(zip(haar_coins(np.random.default_rng(11), 3), (0.5, 0.3, 0.2))),
+            QubitState(0.6, 0.8j),
+            5,
+            7,
+        )
+    )
+    def test_enumeration_order_and_chunks_match_itertools(self, case):
+        # Random finite supports and states, enumerated in chunks of any
+        # size (partial last chunks included), against every sequence
+        # evolved whole from the origin: identical bits.
+        support, phi, n, chunk = case
+        ensemble = CoinEnsemble(name="mixture", draw_parameters=None, finite_support=support)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pathsum, "_ENUMERATION_CHUNK", chunk)
+            dist = exact_average(ensemble, make_initial_state(phi), n)
+        assert np.array_equal(dist.probs, whole_sequence_average(support, phi, n, chunk))
+
+    def test_memory_stays_below_a_per_sequence_coin_array(self):
+        # The 2^17 sequences need no (chunk, n, 4) coin array (17.8 MB per
+        # chunk at n=17); the prefix trie and gathered pieces stay small.
+        tracemalloc.start()
+        try:
+            exact_average(make_ribeiro_two_point(0.7854), make_initial_state("caseI"), 17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
     def test_fixed_hadamard_differs_from_binomial(self):
         # the deterministic walk is the counterexample: balance holds but

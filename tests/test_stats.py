@@ -17,6 +17,7 @@ from dqwalk import (
     DeterministicWalker,
     Distribution,
     InitialStateRule,
+    NumericalDriftError,
     QubitState,
     binomial_distribution,
     evolve,
@@ -86,6 +87,24 @@ class TestMonteCarloAverage:
             "n", "trials", "seed", "mean", "stderr_max", "tv_to_binomial", "config_digest",
         }
         assert payload["n"] == 4 and payload["trials"] == 64 and payload["seed"] == 2
+
+
+def _nan_coins(rng: np.random.Generator, size: int) -> np.ndarray:
+    return np.full((size, 4), complex(np.nan, 0.0))
+
+
+class TestNonFiniteCoins:
+    # A NaN total is a drift beyond any budget: block runs must fail like
+    # `step` does, not later in the Distribution constructor.
+    ensemble = CoinEnsemble(name="nan", draw_parameters=_nan_coins)
+
+    def test_run_realization_raises_drift(self):
+        with pytest.raises(NumericalDriftError):
+            run_realization(self.ensemble, make_initial_state("caseI"), 3, master_seed=0)
+
+    def test_monte_carlo_average_raises_drift(self):
+        with pytest.raises(NumericalDriftError):
+            monte_carlo_average(self.ensemble, make_initial_state("caseI"), 3, 16, master_seed=0)
 
 
 UNIFORM_CATALOG = [
