@@ -129,7 +129,9 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     w0 sites after w0-1 steps, as a `WalkState` holds them; the origin
     form is the w0 = 1 case.  Returns (trials, w0+q) site probabilities.
     Row t is bit-identical to evolving trial t alone, from the origin
-    through all of its coins.
+    through all of its coins.  `abcd` is read only through `shape`,
+    `dtype` and one slice `abcd[start:stop]` per sub-block, so it may be
+    an object that makes each sub-block's coins when sliced.
 
     Trials are stepped in sub-blocks of `rows` trials, sized from the
     final width so that the four amplitude buffers fill WORKSET bytes.

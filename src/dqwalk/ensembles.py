@@ -277,13 +277,13 @@ def mu_shapira(sigma: float) -> float:
 
     mu(sigma) = 1/6 + (1/3) (1 - 4 sigma^2) exp(-2 sigma^2).
 
-    Strictly positive for every sigma > 0, with minimum mu(sqrt(3)/2) =
-    0.0179... and limit 1/2 as sigma -> 0 (the Hadamard walk), so this
-    ensemble always violates the cross-moment condition.
+    Strictly positive for every finite sigma > 0, with minimum
+    mu(sqrt(3)/2) = 0.0179... and limit 1/2 as sigma -> 0 (the Hadamard
+    walk), so this ensemble always violates the cross-moment condition.
     """
     sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     s2 = sigma * sigma
     return 1.0 / 6.0 + (1.0 - 4.0 * s2) * math.exp(-2.0 * s2) / 3.0
 
@@ -297,8 +297,8 @@ def make_shapira(sigma: float) -> CoinEnsemble:
     walk.
     """
     sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return CoinEnsemble(
         name="shapira",
         draw_parameters=partial(_draw_shapira, sigma=sigma),
@@ -342,7 +342,12 @@ MomentFlag = Literal["satisfied", "violated", "inconclusive"]
 #: Minimum sample size for the normal-theory 4-standard-error band.
 _AUDIT_MIN_DRAWS = 100
 
+#: Coins sampled at a time.  Each chunk's sums are added to the running
+#: totals, so this grouping is part of the result's bits.
 _AUDIT_CHUNK = 1 << 20
+
+#: Rows of moment values formed and reduced at a time inside a chunk.
+_AUDIT_PIECE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -404,19 +409,48 @@ def _combine(*flags: MomentFlag) -> MomentFlag:
 _MOMENT_NAMES = ("abs_a_sq", "abs_b_sq", "abs_c_sq", "abs_d_sq", "a_conj_c", "b_conj_d")
 
 
-def _moment_values(rows: np.ndarray) -> np.ndarray:
-    a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-    return np.stack(
-        [
-            a.real**2 + a.imag**2,
-            b.real**2 + b.imag**2,
-            c.real**2 + c.imag**2,
-            d.real**2 + d.imag**2,
-            a * np.conj(c),
-            b * np.conj(d),
-        ],
-        axis=1,
-    ).astype(np.complex128)
+def _cross_products(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a conj(c) and b conj(d) of every coin row.
+
+    Always taken over the whole columns of `rows`, out of place: numpy's
+    complex multiply can round some elements differently when the same
+    columns are multiplied in pieces or in place.
+    """
+    a, b, c, d = rows.T
+    return a * np.conj(c), b * np.conj(d)
+
+
+def _fill_moment_values(out: np.ndarray, rows: np.ndarray, a_conj_c, b_conj_d) -> None:
+    """Write the six moment values of each coin row into the rows of `out`."""
+    for k in range(4):
+        x = rows[:, k]
+        out[:, k] = x.real**2 + x.imag**2
+    out[:, 4] = a_conj_c
+    out[:, 5] = b_conj_d
+
+
+def _chunk_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over coin rows of the six moment values and of their squared parts.
+
+    Returns the complex (6,) sum and the (6, 2) sums of the squared real
+    and imaginary parts.  The values are formed `_AUDIT_PIECE` rows at a
+    time.  An axis-0 sum of a C-ordered array adds its rows one after
+    another, so reducing each piece with the running sum carried in as its
+    row 0 gives the same bits as one sum over all the rows.
+    """
+    a_conj_c, b_conj_d = _cross_products(rows)
+    piece_rows = min(len(rows), _AUDIT_PIECE)
+    values = np.empty((piece_rows + 1, len(_MOMENT_NAMES)), dtype=np.complex128)
+    squares = np.empty((piece_rows + 1, 2 * len(_MOMENT_NAMES)))
+    for lo in range(0, len(rows), _AUDIT_PIECE):
+        hi = min(lo + _AUDIT_PIECE, len(rows))
+        first = 1 if lo == 0 else 0
+        piece = values[1 : hi - lo + 1]
+        _fill_moment_values(piece, rows[lo:hi], a_conj_c[lo:hi], b_conj_d[lo:hi])
+        np.square(piece.view(np.float64), out=squares[1 : hi - lo + 1])
+        values[0] = np.add.reduce(values[first : hi - lo + 1], axis=0)
+        squares[0] = np.add.reduce(squares[first : hi - lo + 1], axis=0)
+    return values[0], squares[0].reshape(len(_MOMENT_NAMES), 2)
 
 
 def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentReport:
@@ -433,7 +467,8 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
     if ensemble.finite_support is not None:
         rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in ensemble.finite_support])
         weights = np.array([w for _, w in ensemble.finite_support])
-        values = _moment_values(rows)
+        values = np.empty((len(rows), len(_MOMENT_NAMES)), dtype=np.complex128)
+        _fill_moment_values(values, rows, *_cross_products(rows))
         means = weights @ values
         estimates = {name: complex(means[i]) for i, name in enumerate(_MOMENT_NAMES)}
         stderrs = {name: 0.0 for name in _MOMENT_NAMES}
@@ -447,10 +482,9 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
         remaining = draws
         while remaining > 0:
             chunk = min(remaining, _AUDIT_CHUNK)
-            values = _moment_values(ensemble.sample_batch(rng, chunk))
-            total += values.sum(axis=0)
-            total_sq[:, 0] += (values.real**2).sum(axis=0)
-            total_sq[:, 1] += (values.imag**2).sum(axis=0)
+            value_sum, square_sum = _chunk_sums(ensemble.sample_batch(rng, chunk))
+            total += value_sum
+            total_sq += square_sum
             remaining -= chunk
         means = total / draws
         estimates = {name: complex(means[i]) for i, name in enumerate(_MOMENT_NAMES)}

@@ -1,12 +1,16 @@
 """Monte Carlo averaging over walk realizations and comparison metrics.
 
 Trials are partitioned into fixed-size blocks keyed by absolute trial
-index; each block draws its own per-trial streams (all at once for
-`UniformDraw` ensembles), evolves all its realizations in one vectorized
-kernel, and reduces its probabilities with numpy's pairwise summation.
-The final reduction over block partials is ordered, so the averaged
-result is bit-identical whether blocks run serially or across any number
-of processes.
+index; each block draws its own per-trial streams (all uniforms at once
+for `UniformDraw` ensembles), evolves all its realizations in one
+vectorized kernel, and sums its probabilities over trials.  The kernel
+takes each sub-block's coins only when it steps that sub-block, so no
+array of a whole block's coins is ever built.  Summing a (trials, sites)
+array over axis 0 adds the trial rows one after another, in trial order
+(numpy's pairwise summation applies only along a contiguous axis).  The
+final reduction over block partials is ordered, so the averaged result
+is bit-identical whether blocks run serially or across any number of
+processes.
 """
 
 from __future__ import annotations
@@ -72,22 +76,50 @@ class AveragedResult:
         return self.mean_distribution.to_csv_rows()
 
 
+class _SubBlockDraws:
+    """The (count, size, width) draws of one trial block, made per slice.
+
+    Slicing by trial, ``draws[lo:hi]``, returns the rows of trials lo..hi-1
+    as a new array; `shape` and `dtype` are those of the whole block.  The
+    evolution kernel reads its coins this way one sub-block at a time, so
+    only one sub-block's coins exist at once.
+    """
+
+    dtype = np.dtype(np.complex128)
+
+    def __init__(self, shape: tuple[int, int, int], rows) -> None:
+        self.shape = shape
+        self._rows = rows
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        lo, hi, _ = key.indices(self.shape[0])
+        return self._rows(lo, hi)
+
+
 def _block_draws(
     draw, sample, master_seed: int, start: int, count: int, stream: int, size: int, width: int
-) -> np.ndarray:
+) -> _SubBlockDraws:
     """(count, size, width) draws of trials start..start+count-1 on `stream`.
 
-    A `UniformDraw` takes all rows from one `block_uniforms` call; any
-    other draw runs `sample(rng, size)` on each trial's own `substream`.
-    Both give the same rows bit for bit.
+    A `UniformDraw` takes all uniforms from one `block_uniforms` call (8
+    bytes per trial and draw) and applies its transform to the trials of
+    each slice; any other draw runs `sample(rng, size)` on each sliced
+    trial's own `substream`.  Both give the same rows bit for bit, whatever
+    the slices.
     """
     if isinstance(draw, UniformDraw):
         u = block_uniforms(master_seed, start, count, stream, size)
-        return draw.transform(u.reshape(-1)).reshape(count, size, width)
-    out = np.empty((count, size, width), dtype=np.complex128)
-    for i in range(count):
-        out[i] = sample(substream(master_seed, start + i, stream), size)
-    return out
+
+        def rows(lo: int, hi: int) -> np.ndarray:
+            return draw.transform(u[lo:hi].reshape(-1)).reshape(hi - lo, size, width)
+    else:
+        def rows(lo: int, hi: int) -> np.ndarray:
+            out = np.empty((hi - lo, size, width), dtype=np.complex128)
+            for i in range(lo, hi):
+                out[i - lo] = sample(substream(master_seed, start + i, stream), size)
+            return out
+
+    return _SubBlockDraws((count, size, width), rows)
 
 
 def _mc_block(
@@ -107,12 +139,13 @@ def _mc_block(
         initial = _block_draws(
             init_rule.draw_parameters, init_rule.draw_batch,
             master_seed, start, count, INIT_STREAM, 1, 2,
-        )[:, 0]
+        )[:][:, 0]
     else:
         initial = init_rule.draw_batch(None, count)
     probs = _evolve_block(abcd, initial)
     _check_block_norms(probs, n)
-    return probs.sum(axis=0), (probs**2).sum(axis=0)
+    total = probs.sum(axis=0)
+    return total, np.square(probs, out=probs).sum(axis=0)
 
 
 def _mc_block_args(args) -> tuple[np.ndarray, np.ndarray]:

@@ -168,6 +168,14 @@ class TestAverageCommand:
         assert proc.returncode == 2
         assert "workers" in proc.stderr
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_2(self, sigma):
+        proc = run_cli("average", "--ensemble", "shapira", "--sigma", sigma,
+                       "--n", "4", "--trials", "10")
+        assert proc.returncode == 2
+        assert "sigma must be positive and finite" in proc.stderr
+        assert "Warning" not in proc.stderr
+
 
 class TestMomentsCommand:
     def test_shapira_estimate_matches_closed_form(self, tmp_path):
@@ -186,6 +194,13 @@ class TestMomentsCommand:
         proc = run_cli("moments", "--ensemble", "ribeiro_uniform", "--draws", "100",
                        "--format", "csv")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_2(self, sigma):
+        proc = run_cli("moments", "--ensemble", "shapira", "--sigma", sigma, "--draws", "100")
+        assert proc.returncode == 2
+        assert "sigma must be positive and finite" in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 class TestCoeffsCommand:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,13 @@ from dqwalk import (
     shapira_coin,
     substream,
     validate_coin,
+)
+from dqwalk.ensembles import (
+    _AUDIT_CHUNK,
+    _MOMENT_NAMES,
+    MomentReport,
+    _combine,
+    _flag,
 )
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
@@ -149,6 +158,13 @@ class TestShapira:
         with pytest.raises(ValueError):
             mu_shapira(sigma)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            make_shapira(sigma)
+        with pytest.raises(ValueError, match="finite"):
+            mu_shapira(sigma)
+
 
 class TestMuShapira:
     def test_value_at_the_minimum(self):
@@ -161,6 +177,66 @@ class TestMuShapira:
         grid = [round(0.01 * i, 2) for i in range(1, 501)]
         best = mu_shapira(SQRT3_HALF)
         assert all(best <= mu_shapira(sigma) for sigma in grid)
+
+
+def eager_moment_values(rows):
+    a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
+    return np.stack(
+        [
+            a.real**2 + a.imag**2,
+            b.real**2 + b.imag**2,
+            c.real**2 + c.imag**2,
+            d.real**2 + d.imag**2,
+            a * np.conj(c),
+            b * np.conj(d),
+        ],
+        axis=1,
+    ).astype(np.complex128)
+
+
+def eager_audit_moments(ensemble, draws, seed=0):
+    """`audit_moments` forming each chunk's (chunk, 6) values whole: the
+    reference for the bits of the piecewise sums."""
+    if ensemble.finite_support is not None:
+        rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in ensemble.finite_support])
+        weights = np.array([w for _, w in ensemble.finite_support])
+        means = weights @ eager_moment_values(rows)
+        estimates = {name: complex(means[i]) for i, name in enumerate(_MOMENT_NAMES)}
+        stderrs = {name: 0.0 for name in _MOMENT_NAMES}
+        exact = True
+    else:
+        rng = substream(seed)
+        total = np.zeros(len(_MOMENT_NAMES), dtype=np.complex128)
+        total_sq = np.zeros((len(_MOMENT_NAMES), 2), dtype=np.float64)
+        remaining = draws
+        while remaining > 0:
+            chunk = min(remaining, _AUDIT_CHUNK)
+            values = eager_moment_values(ensemble.sample_batch(rng, chunk))
+            total += values.sum(axis=0)
+            total_sq[:, 0] += (values.real**2).sum(axis=0)
+            total_sq[:, 1] += (values.imag**2).sum(axis=0)
+            remaining -= chunk
+        means = total / draws
+        estimates = {name: complex(means[i]) for i, name in enumerate(_MOMENT_NAMES)}
+        stderrs = {}
+        for i, name in enumerate(_MOMENT_NAMES):
+            if draws < 2:
+                stderrs[name] = 0.0
+                continue
+            var_re = max(total_sq[i, 0] - draws * means[i].real ** 2, 0.0) / (draws - 1)
+            var_im = max(total_sq[i, 1] - draws * means[i].imag ** 2, 0.0) / (draws - 1)
+            stderrs[name] = math.sqrt((var_re + var_im) / draws)
+        exact = False
+    eq_balance = _combine(
+        _flag(abs(estimates["abs_a_sq"] - 0.5), stderrs["abs_a_sq"], draws, exact),
+        _flag(abs(estimates["abs_b_sq"] - 0.5), stderrs["abs_b_sq"], draws, exact),
+    )
+    eq_cross = _flag(abs(estimates["a_conj_c"]), stderrs["a_conj_c"], draws, exact)
+    return MomentReport(
+        ensemble=ensemble.name, draws=draws, exact=exact, estimates=estimates,
+        stderrs=stderrs, eq_balance=eq_balance, eq_cross=eq_cross,
+        declared=ensemble.declared_moments,
+    )
 
 
 class TestAuditMoments:
@@ -198,6 +274,28 @@ class TestAuditMoments:
     def test_tiny_sample_is_inconclusive(self):
         report = audit_moments(make_ribeiro_uniform(), draws=10, seed=0)
         assert report.eq_balance == "inconclusive"
+
+    @pytest.mark.parametrize("draws", [1, 100, 100_000, 2**20 + 5])
+    @pytest.mark.parametrize("factory", CATALOG)
+    def test_equals_whole_chunk_audit(self, factory, draws):
+        # Pieces reduced with the running sum carried in must give the
+        # bits of whole-chunk sums; 2**20 + 5 spans two sampling chunks.
+        ensemble = factory()
+        report = audit_moments(ensemble, draws, seed=13)
+        eager = eager_audit_moments(ensemble, draws, seed=13)
+        assert report == eager
+        assert json.dumps(report.to_json_dict()) == json.dumps(eager.to_json_dict())
+
+    def test_memory_stays_below_whole_chunk_values(self):
+        # Whole-chunk values take 25.6 MB at 100000 draws: the coins, a
+        # stacked value array and its complex copy.
+        tracemalloc.start()
+        try:
+            audit_moments(make_ribeiro_uniform(), draws=100_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
 
 class TestCatalogContracts:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dqwalk.stats
 from dqwalk import (
@@ -26,12 +29,17 @@ from dqwalk import (
     make_mackay,
     make_ribeiro_two_point,
     make_ribeiro_uniform,
+    make_shapira,
     monte_carlo_average,
     run_realization,
     summary_stats,
     tv_distance,
     variance_scan,
 )
+from dqwalk.engine import WORKSET, _check_block_norms, _evolve_block
+from dqwalk.ensembles import UniformDraw
+from dqwalk.stats import BLOCK_SIZE, _block_draws, _mc_block
+from dqwalk.streams import COIN_STREAM, INIT_STREAM, block_uniforms, substream
 
 
 class TestMonteCarloAverage:
@@ -153,6 +161,128 @@ class TestBlockStreams:
 
         monkeypatch.setattr(dqwalk.stats, "substream", forbidden)
         monte_carlo_average(factory(), make_initial_state("caseII"), 4, 50, 3)
+
+
+def eager_block_draws(draw, sample, master_seed, start, count, stream, size, width):
+    """A whole block's (count, size, width) draws in one array: the reference
+    that draws made per slice must equal."""
+    if isinstance(draw, UniformDraw):
+        u = block_uniforms(master_seed, start, count, stream, size)
+        return draw.transform(u.reshape(-1)).reshape(count, size, width)
+    out = np.empty((count, size, width), dtype=np.complex128)
+    for i in range(count):
+        out[i] = sample(substream(master_seed, start + i, stream), size)
+    return out
+
+
+def eager_mc_block(ensemble, init_rule, n, master_seed, start, count):
+    """`_mc_block` over a whole-block coin array, the reference for its bits."""
+    abcd = eager_block_draws(
+        ensemble.draw_parameters, ensemble.sample_batch,
+        master_seed, start, count, COIN_STREAM, n, 4,
+    )
+    if init_rule.kind == "random":
+        initial = eager_block_draws(
+            init_rule.draw_parameters, init_rule.draw_batch,
+            master_seed, start, count, INIT_STREAM, 1, 2,
+        )[:, 0]
+    else:
+        initial = init_rule.draw_batch(None, count)
+    probs = _evolve_block(abcd, initial)
+    _check_block_norms(probs, n)
+    return probs.sum(axis=0), (probs**2).sum(axis=0)
+
+
+def kernel_rows(n: int, trials: int) -> int:
+    """Trials per sub-block of `_evolve_block` over n coins (final width n+1)."""
+    return max(8, min(trials, WORKSET // (64 * (n + 1))))
+
+
+def coin_source(ensemble: CoinEnsemble):
+    return ensemble.draw_parameters, ensemble.sample_batch, COIN_STREAM, 4
+
+
+def state_source(rule: InitialStateRule):
+    return rule.draw_parameters, rule.draw_batch, INIT_STREAM, 2
+
+
+UNIFORM_SOURCES = [
+    coin_source(make_ribeiro_uniform()),
+    coin_source(make_ribeiro_two_point(0.3)),
+    coin_source(make_mackay()),
+    state_source(make_initial_state("caseII")),
+]
+
+PER_TRIAL_SOURCES = [
+    coin_source(make_shapira(0.5)),
+    coin_source(make_fixed()),
+    coin_source(make_mackay(lambda rng: rng.uniform(-1.0, 1.0))),
+    coin_source(as_custom_ensemble(make_ribeiro_uniform())),
+    state_source(as_custom_rule(make_initial_state("caseII"))),
+]
+
+
+class TestSubBlockDraws:
+    """Block draws made per kernel sub-block equal the whole-block draws."""
+
+    @staticmethod
+    def check_sub_block_rows(source, n, offset, master_seed, start):
+        draw, sample, stream, width = source
+        count = kernel_rows(n, 2**62) + offset
+        draws = _block_draws(draw, sample, master_seed, start, count, stream, n, width)
+        eager = eager_block_draws(draw, sample, master_seed, start, count, stream, n, width)
+        assert draws.shape == eager.shape
+        assert draws.dtype == eager.dtype
+        rows = kernel_rows(n, count)
+        pieces = [draws[lo : lo + rows] for lo in range(0, count, rows)]
+        assert len(pieces) == (2 if offset == 1 else 1)
+        assert np.concatenate(pieces).tobytes() == eager.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.sampled_from(UNIFORM_SOURCES),
+        n=st.integers(0, 600),
+        offset=st.sampled_from([-1, 0, 1]),
+        master_seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**40),
+    )
+    def test_uniform_draws(self, source, n, offset, master_seed, start):
+        self.check_sub_block_rows(source, n, offset, master_seed, start)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        source=st.sampled_from(PER_TRIAL_SOURCES),
+        n=st.integers(0, 600),
+        offset=st.sampled_from([-1, 0, 1]),
+        master_seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**40),
+    )
+    def test_per_trial_draws(self, source, n, offset, master_seed, start):
+        self.check_sub_block_rows(source, n, offset, master_seed, start)
+
+    @pytest.mark.parametrize("n, count", [(0, 3), (1, 9), (10, 1024), (320, 130)])
+    @pytest.mark.parametrize("init", ["caseI", "caseII"])
+    @pytest.mark.parametrize(
+        "factory", UNIFORM_CATALOG + [lambda: make_shapira(0.5), make_fixed]
+    )
+    def test_mc_block_equals_eager_block(self, factory, init, n, count):
+        ensemble, rule = factory(), make_initial_state(init)
+        start = 3 * BLOCK_SIZE
+        got = _mc_block(ensemble, rule, n, 2**64 - 1, start, count)
+        want = eager_mc_block(ensemble, rule, n, 2**64 - 1, start, count)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_block_memory_stays_below_a_block_coin_array(self):
+        # A whole block's coins alone take 21 MB at n=320 x 1024 trials
+        # (34 MB peak with them); per sub-block they take about 1 MB.
+        tracemalloc.start()
+        try:
+            _mc_block(make_ribeiro_uniform(), make_initial_state("caseI"), 320, 1, 0, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
 
 class TestTvDistance:
