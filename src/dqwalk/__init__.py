@@ -54,7 +54,6 @@ from .pathsum import (
     exact_average,
     product_table,
     reconstruct_state,
-    symbolic_monomials,
     term_count,
 )
 from .stats import (
@@ -122,7 +121,6 @@ __all__ = [
     "step",
     "substream",
     "summary_stats",
-    "symbolic_monomials",
     "term_count",
     "tv_distance",
     "validate_coin",

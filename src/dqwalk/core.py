@@ -284,18 +284,18 @@ class Distribution:
         return ["k,probability"] + [f"{k},{p!r}" for k, p in self.items()]
 
 
-def distribution_of(state: WalkState, tol: float | None = None) -> Distribution:
+def distribution_of(state: WalkState) -> Distribution:
     """Site occupation probabilities |psi_l|^2 + |psi_r|^2 of a walk state.
 
     Raises
     ------
     NumericalDriftError
-        If the total mass differs from 1 by more than `tol` (default
-        EPS_UNIT + step * EPS_STEP: the initial state is unit only to
-        EPS_UNIT, and each step adds at most EPS_STEP).
+        If the total mass differs from 1 by more than EPS_UNIT + step *
+        EPS_STEP: the initial state is unit only to EPS_UNIT, and each
+        step adds at most EPS_STEP.
     """
     p = state.psi_l.real**2 + state.psi_l.imag**2 + state.psi_r.real**2 + state.psi_r.imag**2
-    budget = tol if tol is not None else EPS_UNIT + state.step * EPS_STEP
+    budget = EPS_UNIT + state.step * EPS_STEP
     total = float(p.sum())
     if abs(total - 1.0) > budget:
         raise NumericalDriftError(

@@ -66,35 +66,22 @@ def step(state: WalkState, coin: Coin) -> WalkState:
 
 @dataclass(frozen=True)
 class WalkRun:
-    """One realization: initial state, its coin sequence, and the final state.
-
-    `states` holds every intermediate state (step 0 included) when the
-    run was evolved with `keep_states=True`, else None.
-    """
+    """One realization: initial state, its coin sequence, and the final state."""
 
     initial: QubitState
     coins: tuple[Coin, ...]
     final: WalkState
-    states: tuple[WalkState, ...] | None = None
 
     def distribution(self) -> Distribution:
         return distribution_of(self.final)
 
 
-def evolve(initial: QubitState, coins: Sequence[Coin], keep_states: bool = False) -> WalkRun:
+def evolve(initial: QubitState, coins: Sequence[Coin]) -> WalkRun:
     """Apply `coins` in order to the origin-localized state `initial`."""
     state = WalkState.from_qubit(initial)
-    history = [state] if keep_states else None
     for coin in coins:
         state = step(state, coin)
-        if history is not None:
-            history.append(state)
-    return WalkRun(
-        initial=initial,
-        coins=tuple(coins),
-        final=state,
-        states=tuple(history) if history is not None else None,
-    )
+    return WalkRun(initial=initial, coins=tuple(coins), final=state)
 
 
 #: Bytes of amplitude working set per kernel sub-block: the left, two right

@@ -102,6 +102,13 @@ class CoinEnsemble:
 
     def __post_init__(self) -> None:
         if self.finite_support is not None:
+            if not self.finite_support:
+                raise ValueError("finite support must hold at least one coin")
+            for _, w in self.finite_support:
+                if not 0.0 <= w < math.inf:
+                    raise ValueError(
+                        f"finite support weights must be finite and nonnegative, got {w!r}"
+                    )
             weight = sum(w for _, w in self.finite_support)
             if abs(weight - 1.0) > EPS_UNIT:
                 raise ValueError(f"finite support weights must sum to 1, got {weight!r}")

@@ -28,7 +28,9 @@ and `binomial_law` gives the classical symmetric random walk mass the
 averaged disordered walk collapses to.  Sequences that share a coin
 prefix share the walk state after it, so the enumeration steps a prefix
 trie level by level, each node once per child coin, and hands the block
-kernel only each sequence's last step.
+kernel only each sequence's last step.  Each trie level is stored in
+prefix order and carries every prefix's weight product down with it,
+so neither the states nor the weights need an index per sequence.
 """
 
 from __future__ import annotations
@@ -203,55 +205,68 @@ class EnumerationInfeasibleError(RuntimeError):
 
 _ENUMERATION_CHUNK = 1 << 14
 
-#: Sequences whose parent states are gathered for one kernel call.
-_PIECE = 1 << 11
+
+def _children(lo: int, hi: int, s: int, coin: int) -> tuple[slice, slice]:
+    """Where the prefixes p*s + coin in lo..hi, and their parents, sit.
+
+    Returns the columns of these children in a level that holds lo..hi in
+    prefix order (every s-th column) and of their parents in the level
+    before, which holds lo // s .. hi // s (a contiguous run).
+    """
+    first = lo + (coin - lo) % s
+    parent = first // s - lo // s
+    return slice(first - lo, None, s), slice(parent, parent + (hi - first) // s + 1)
 
 
-def _prefix_states(
-    entry_rows: np.ndarray, initial_row: np.ndarray, n: int, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk states after the first n-1 coins of sequences start..stop-1.
+def _chunk_sum(
+    entry_rows: np.ndarray,
+    weights: np.ndarray,
+    initial_row: np.ndarray,
+    n: int,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Weighted sum of the distributions of sequences start..stop-1.
 
     Sequences are numbered in `itertools.product` order over the s
     support coins, so the (n-1)-coin prefix of sequence k is k // s and
     the prefixes of length L that the range needs are the consecutive
-    integers start // s^(n-L) .. (stop-1) // s^(n-L).  Level L is built
-    from level L-1 by stepping, for each coin, every parent that has a
-    needed child under that coin; the children of one coin are stored in
-    consecutive columns.  Returns the site-major amplitude arrays l, r of
-    shape (n, nodes) and `column`, where prefix p sits in column
-    column[p - start // s].
+    integers lo = start // s^(n-L) .. hi = (stop-1) // s^(n-L).  A trie
+    holds each level in prefix order, prefix p in column p - lo, as the
+    amplitudes `psi` = (psi_l, psi_r) of shape (2, L+1, hi-lo+1) and the
+    weight products `w`.  The children of one coin are every s-th column
+    and their parents a contiguous slice of the level before, so each
+    coin steps its parents with one `_coin_step` and multiplies their
+    weights by its own, in coin order.  The block kernel then applies
+    each sequence's last coin to its parent's state.
     """
     s = len(entry_rows)
-    l = initial_row[np.newaxis, :1].copy()
-    r = initial_row[np.newaxis, 1:].copy()
-    prefixes = np.zeros(1, dtype=np.int64)
+    psi = initial_row.reshape(2, 1, 1)
+    w = np.ones(1)
     for level in range(1, n):
         scale = s ** (n - level)
         lo, hi = start // scale, (stop - 1) // scale
-        w = level
-        new_l = np.empty((w + 1, hi - lo + 1), dtype=np.complex128)
-        new_r = np.empty_like(new_l)
-        new_l[w] = 0
-        new_r[0] = 0
-        new_prefixes = np.empty(hi - lo + 1, dtype=np.int64)
-        scratch = np.empty(w * prefixes.size, dtype=np.complex128)
-        offset = 0
+        new_psi = np.empty((2, level + 1, hi - lo + 1), dtype=np.complex128)
+        new_psi[0, level] = 0
+        new_psi[1, 0] = 0
+        new_w = np.empty(hi - lo + 1)
+        scratch = np.empty(level * psi.shape[2], dtype=np.complex128)
         for coin, (a, b, c, d) in enumerate(entry_rows):
-            children = prefixes * s + coin
-            keep = (children >= lo) & (children <= hi)
-            pl, pr = (l, r) if keep.all() else (l[:, keep], r[:, keep])
-            m = pl.shape[1]
-            cols = slice(offset, offset + m)
-            _coin_step(
-                a, b, c, d, pl, pr, new_l[:w, cols], new_r[1:, cols], scratch[: w * m].reshape(w, m)
-            )
-            new_prefixes[cols] = children[keep]
-            offset += m
-        l, r, prefixes = new_l, new_r, new_prefixes
-    column = np.empty(prefixes.size, dtype=np.int64)
-    column[prefixes - start // s] = np.arange(prefixes.size)
-    return l, r, column
+            cols, parents = _children(lo, hi, s, coin)
+            l, r = psi[:, :, parents]
+            t = scratch[: l.size].reshape(l.shape)
+            _coin_step(a, b, c, d, l, r, new_psi[0, :level, cols], new_psi[1, 1:, cols], t)
+            new_w[cols] = w[parents] * weights[coin]
+        psi, w = new_psi, new_w
+    probs = np.empty((stop - start, n + 1))
+    sequence_w = np.empty(stop - start)
+    for coin, row in enumerate(entry_rows):
+        rows, parents = _children(start, stop - 1, s, coin)
+        states = psi[:, :, parents].T
+        probs[rows] = _evolve_block(np.broadcast_to(row, (len(states), 1, 4)), states)
+        sequence_w[rows] = w[parents] * weights[coin]
+    _check_block_norms(probs, n)
+    return sequence_w @ probs
 
 
 def exact_average(
@@ -267,12 +282,14 @@ def exact_average(
     fixed initial state and s^n <= max_sequences.
 
     Sequences are reduced in chunks of `_ENUMERATION_CHUNK`, in
-    `itertools.product` order.  For each chunk a prefix trie steps every
-    distinct (n-1)-coin prefix once (`_prefix_states`); each sequence's
-    parent state is then gathered, `_PIECE` rows at a time, and the block
-    kernel applies its last coin.  A sequence's arithmetic is the same as
-    evolving it alone from the origin, so the result is bit-identical at
-    any trie or piece size.
+    `itertools.product` order.  For each chunk a prefix trie, stored in
+    prefix order, steps every distinct (n-1)-coin prefix once and carries
+    its weight product down; then, for each last coin, the block kernel
+    finishes the sequences that end in it from their parents' states
+    (`_chunk_sum`).  A sequence's arithmetic is the same as evolving it
+    alone from the origin, and its weight is multiplied in the same order
+    as a product over its coins, so the result is bit-identical at any
+    trie or chunk size.
 
     Raises
     ------
@@ -309,30 +326,7 @@ def exact_average(
     acc = np.zeros(n + 1)
     for start in range(0, sequences, _ENUMERATION_CHUNK):
         stop = min(start + _ENUMERATION_CHUNK, sequences)
-        k = np.arange(start, stop, dtype=np.int64)
-        # Sequence k has support index (k // s^(n-1-j)) % s at step j: the
-        # order of itertools.product(range(s), repeat=n).
-        idx = np.empty((stop - start, n), dtype=np.int64)
-        quotient = k.copy()
-        for j in range(n - 1, -1, -1):
-            np.divmod(quotient, support_size, out=(quotient, idx[:, j]))
-        l, r, column = _prefix_states(entry_rows, initial_row, n, start, stop)
-        parents = column[k // support_size - start // support_size]
-        last_coins = entry_rows[idx[:, -1:]]
-        probs = np.empty((stop - start, n + 1))
-        gathered = np.empty((2, n, min(_PIECE, stop - start)), dtype=np.complex128)
-        for first in range(0, stop - start, _PIECE):
-            piece = slice(first, first + _PIECE)
-            cols = parents[piece]
-            # A site-major gather, viewed as the kernel's (rows, n, 2) states.
-            # The columns are in range; mode="clip" keeps take from buffering
-            # `out` for its bounds check.
-            states = gathered[:, :, : cols.size]
-            np.take(l, cols, axis=1, out=states[0], mode="clip")
-            np.take(r, cols, axis=1, out=states[1], mode="clip")
-            probs[piece] = _evolve_block(last_coins[piece], states.transpose(2, 1, 0))
-        _check_block_norms(probs, n)
-        acc += np.prod(weights[idx], axis=1) @ probs
+        acc += _chunk_sum(entry_rows, weights, initial_row, n, start, stop)
     return Distribution(n, acc)
 
 

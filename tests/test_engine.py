@@ -144,14 +144,6 @@ class TestEvolve:
         assert dist.prob(0) == 0.0
         assert dist.prob(2) == 0.0
 
-    def test_kept_states_respect_step_support(self):
-        rng = np.random.default_rng(3)
-        run = evolve(QubitState(1, 0), haar_coins(rng, 5), keep_states=True)
-        assert len(run.states) == 6
-        for j, state in enumerate(run.states):
-            assert state.step == j
-            assert state.sites()[0] == -j and state.sites()[-1] == j
-
     def test_hadamard_walk_symmetric_from_balanced_state(self):
         dist = evolve(CASE_I_DEFAULT, [HADAMARD] * 60).distribution()
         for k in dist.sites():

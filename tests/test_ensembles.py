@@ -17,6 +17,7 @@ import dqwalk
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
+    CoinEnsemble,
     InitialStateRule,
     audit_moments,
     make_fixed,
@@ -328,6 +329,29 @@ class TestCatalogContracts:
         first = ensemble.sample_batch(substream(77, 4, 0), 10)
         second = ensemble.sample_batch(substream(77, 4, 0), 10)
         assert np.array_equal(first, second)
+
+
+class TestFiniteSupport:
+    @pytest.mark.parametrize(
+        "support",
+        [
+            (),
+            ((HADAMARD, math.nan),),
+            ((HADAMARD, math.inf),),
+            ((HADAMARD, 1.5), (rotation_coin(0.3), -0.5)),
+        ],
+        ids=["empty", "nan", "inf", "negative"],
+    )
+    def test_malformed_support_rejected(self, support):
+        # A NaN weight passes the sum-to-one check (abs(nan - 1) > eps is
+        # False), and (1.5, -0.5) sums to one exactly.
+        with pytest.raises(ValueError, match="finite support"):
+            CoinEnsemble(name="bad", draw_parameters=None, finite_support=support)
+
+    def test_zero_weight_accepted(self):
+        support = ((HADAMARD, 1.0), (rotation_coin(0.3), 0.0))
+        ensemble = CoinEnsemble(name="zero", draw_parameters=None, finite_support=support)
+        assert ensemble.finite_support == support
 
 
 class TestInitialStates:

@@ -30,11 +30,11 @@ from dqwalk import (
     product_table,
     reconstruct_state,
     split_coin,
-    symbolic_monomials,
     term_count,
     tv_distance,
 )
 from dqwalk import pathsum
+from dqwalk.pathsum import symbolic_monomials
 from dqwalk.engine import _evolve_block
 
 
@@ -290,16 +290,26 @@ class TestExactAverage:
             dist = exact_average(ensemble, make_initial_state(phi), n)
         assert np.array_equal(dist.probs, whole_sequence_average(support, phi, n, chunk))
 
+    def test_default_chunks_at_n17_match_itertools(self):
+        # The benchmark's case: 2^17 sequences in 8 chunks of the real size.
+        ensemble = make_ribeiro_two_point(0.7854)
+        dist = exact_average(ensemble, make_initial_state("caseI"), 17)
+        expected = whole_sequence_average(
+            ensemble.finite_support, CASE_I_DEFAULT, 17, chunk=pathsum._ENUMERATION_CHUNK
+        )
+        assert np.array_equal(dist.probs, expected)
+
     def test_memory_stays_below_a_per_sequence_coin_array(self):
         # The 2^17 sequences need no (chunk, n, 4) coin array (17.8 MB per
-        # chunk at n=17); the prefix trie and gathered pieces stay small.
+        # chunk at n=17) and no per-sequence index or gathered states; one
+        # trie level and the chunk's probabilities stay small.
         tracemalloc.start()
         try:
             exact_average(make_ribeiro_two_point(0.7854), make_initial_state("caseI"), 17)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 16 * 2**20
 
     def test_fixed_hadamard_differs_from_binomial(self):
         # the deterministic walk is the counterexample: balance holds but
