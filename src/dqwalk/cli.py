@@ -231,9 +231,11 @@ def _cmd_average(args) -> None:
         raise ValueError("trials is required for average")
     trials = int(trials)
     audit_draws = int(_pick(args, file_config, "audit_draws", 100_000))
-    result = monte_carlo_average(
-        ensemble, init_rule, n, trials, seed, workers=_require_workers(args)
-    )
+    workers = _require_workers(args)
+    # The audit runs after the average; reject its size before that work.
+    if audit_draws < 1:
+        raise ValueError(f"draws must be at least 1, got {audit_draws}")
+    result = monte_carlo_average(ensemble, init_rule, n, trials, seed, workers=workers)
     audit = audit_moments(ensemble, audit_draws, seed)
     resolved = {
         "command": "average",

@@ -1,16 +1,21 @@
 """Monte Carlo averaging over walk realizations and comparison metrics.
 
 Trials are partitioned into fixed-size blocks keyed by absolute trial
-index; each block draws its own per-trial streams (all uniforms at once
-for `UniformDraw` ensembles), evolves all its realizations in one
-vectorized kernel, and sums its probabilities over trials.  The kernel
+index, and the block is the unit of reduction: each block's partial is
+the sum of its trials' probabilities.  The unit of work is a run of
+consecutive whole blocks (only the last block of the job may be
+partial), sized from n alone so that a run's probabilities stay within
+RUN_SITES trial-sites.  A run draws its per-trial streams (all uniforms
+at once for `UniformDraw` ensembles), evolves all its realizations in one
+vectorized kernel call, and sums each of its blocks' rows.  The kernel
 takes each sub-block's coins only when it steps that sub-block, so no
-array of a whole block's coins is ever built.  Summing a (trials, sites)
+array of a whole run's coins is ever built.  Summing a (trials, sites)
 array over axis 0 adds the trial rows one after another, in trial order
-(numpy's pairwise summation applies only along a contiguous axis).  The
+(numpy's pairwise summation applies only along a contiguous axis, which
+the trial axis is only at n = 0, with one site).  The
 final reduction over block partials is ordered, so the averaged result
-is bit-identical whether blocks run serially or across any number of
-processes.
+is bit-identical whether runs go serially or across any number of
+processes, and whatever the run length.
 """
 
 from __future__ import annotations
@@ -34,6 +39,13 @@ from .streams import COIN_STREAM, INIT_STREAM, block_uniforms, substream
 #: reduction tree, and therefore the result, never depends on trial count
 #: partitioning across workers.
 BLOCK_SIZE = 1024
+
+#: Trial-sites (8 bytes each) of probabilities that one Monte Carlo run
+#: holds at most, unless a single block is larger.  A run covers
+#: max(1, RUN_SITES // (BLOCK_SIZE * (n + 1))) blocks, which depends on n
+#: alone; it amortises the fixed per-task costs (stream seeding, the coin
+#: and state transforms, a kernel call, a pool round trip) at small n.
+RUN_SITES = 1 << 16
 
 
 def config_digest(payload: dict) -> str:
@@ -130,7 +142,13 @@ def _mc_block(
     start: int,
     count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sum, sum of squares) of site probabilities over one trial block."""
+    """Per-block (sums, sums of squares) of site probabilities over a run.
+
+    The run is trials start..start+count-1, cut into BLOCK_SIZE blocks
+    from `start` (only the last may be partial).  Returns two (blocks,
+    n+1) arrays whose row b is the axis-0 sum over block b's own rows, the
+    same bits as evolving that block alone.
+    """
     abcd = _block_draws(
         ensemble.draw_parameters, ensemble.sample_batch,
         master_seed, start, count, COIN_STREAM, n, 4,
@@ -144,8 +162,10 @@ def _mc_block(
         initial = init_rule.draw_batch(None, count)
     probs = _evolve_block(abcd, initial)
     _check_block_norms(probs, n)
-    total = probs.sum(axis=0)
-    return total, np.square(probs, out=probs).sum(axis=0)
+    starts = range(0, count, BLOCK_SIZE)
+    sums = np.stack([probs[lo : lo + BLOCK_SIZE].sum(axis=0) for lo in starts])
+    np.square(probs, out=probs)
+    return sums, np.stack([probs[lo : lo + BLOCK_SIZE].sum(axis=0) for lo in starts])
 
 
 def _mc_block_args(args) -> tuple[np.ndarray, np.ndarray]:
@@ -173,18 +193,19 @@ def monte_carlo_average(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
-    blocks = [
-        (ensemble, init_rule, n, master_seed, start, min(BLOCK_SIZE, trials - start))
-        for start in range(0, trials, BLOCK_SIZE)
+    run = max(1, RUN_SITES // (BLOCK_SIZE * (n + 1))) * BLOCK_SIZE
+    runs = [
+        (ensemble, init_rule, n, master_seed, start, min(run, trials - start))
+        for start in range(0, trials, run)
     ]
-    if workers == 1 or len(blocks) == 1:
-        partials = [_mc_block_args(block) for block in blocks]
+    if workers == 1 or len(runs) == 1:
+        partials = [_mc_block_args(args) for args in runs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_mc_block_args, blocks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(runs))) as pool:
+            partials = list(pool.map(_mc_block_args, runs))
 
-    total = np.stack([p for p, _ in partials]).sum(axis=0)
-    total_sq = np.stack([q for _, q in partials]).sum(axis=0)
+    total = np.concatenate([p for p, _ in partials]).sum(axis=0)
+    total_sq = np.concatenate([q for _, q in partials]).sum(axis=0)
     mean = total / trials
     if trials >= 2:
         variance = np.maximum(total_sq - trials * mean**2, 0.0) / (trials - 1)

@@ -168,6 +168,27 @@ class TestAverageCommand:
         assert proc.returncode == 2
         assert "workers" in proc.stderr
 
+    @pytest.mark.parametrize("draws", [0, -5])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_audit_draws_exit_2_before_the_average(
+        self, source, draws, tmp_path, monkeypatch, capsys
+    ):
+        import dqwalk.cli as cli_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the average ran before the audit size was checked")
+
+        monkeypatch.setattr(cli_module, "monte_carlo_average", forbidden)
+        argv = ["average", "--n", "200", "--trials", "4096"]
+        if source == "flag":
+            argv += ["--audit-draws", str(draws)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"audit_draws": draws}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"dqwalk: draws must be at least 1, got {draws}\n"
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_exits_2(self, sigma):
         proc = run_cli("average", "--ensemble", "shapira", "--sigma", sigma,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -38,7 +39,7 @@ from dqwalk import (
 )
 from dqwalk.engine import WORKSET, _check_block_norms, _evolve_block
 from dqwalk.ensembles import UniformDraw
-from dqwalk.stats import BLOCK_SIZE, _block_draws, _mc_block
+from dqwalk.stats import BLOCK_SIZE, RUN_SITES, _block_draws, _mc_block
 from dqwalk.streams import COIN_STREAM, INIT_STREAM, block_uniforms, substream
 
 
@@ -65,8 +66,9 @@ class TestMonteCarloAverage:
     def test_worker_count_invariance(self):
         ensemble = make_ribeiro_uniform()
         init = make_initial_state("caseII")
-        serial = monte_carlo_average(ensemble, init, 7, 2500, 11, workers=1)
-        parallel = monte_carlo_average(ensemble, init, 7, 2500, 11, workers=3)
+        # Three runs of eight blocks at n=7, so the pool really runs them.
+        serial = monte_carlo_average(ensemble, init, 7, 20000, 11, workers=1)
+        parallel = monte_carlo_average(ensemble, init, 7, 20000, 11, workers=3)
         assert np.array_equal(serial.mean_distribution.probs, parallel.mean_distribution.probs)
         assert np.array_equal(serial.stderr, parallel.stderr)
 
@@ -283,6 +285,70 @@ class TestSubBlockDraws:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * 2**20
+
+
+class TestRuns:
+    """A task's run of whole blocks gives each block's own partials."""
+
+    @staticmethod
+    def check_run_rows(ensemble, rule, n, start, count):
+        sums, squares = _mc_block(ensemble, rule, n, 2**64 - 1, start, count)
+        starts = range(start, start + count, BLOCK_SIZE)
+        assert sums.shape == squares.shape == (len(starts), n + 1)
+        for row, lo in enumerate(starts):
+            size = min(BLOCK_SIZE, start + count - lo)
+            want_sum, want_square = eager_mc_block(ensemble, rule, n, 2**64 - 1, lo, size)
+            assert sums[row].tobytes() == want_sum.tobytes()
+            assert squares[row].tobytes() == want_square.tobytes()
+
+    @pytest.mark.parametrize("blocks, n", [(2, 10), (5, 3), (6, 0)])
+    @pytest.mark.parametrize("init", ["caseI", "caseII"])
+    @pytest.mark.parametrize("factory", [make_mackay, lambda: make_shapira(0.5)])
+    def test_run_rows_equal_eager_blocks(self, factory, init, blocks, n):
+        count = (blocks - 1) * BLOCK_SIZE + 300
+        self.check_run_rows(factory(), make_initial_state(init), n, 5 * BLOCK_SIZE, count)
+
+    @pytest.mark.parametrize("factory", [make_mackay, lambda: make_shapira(0.5)])
+    def test_run_across_trial_2_to_the_32(self, factory):
+        # Trial indices from 2**32 on hash as two 32-bit words.
+        rule = make_initial_state("caseII")
+        self.check_run_rows(factory(), rule, 4, 2**32 - 2 * BLOCK_SIZE, 3 * BLOCK_SIZE + 5)
+
+    @pytest.mark.parametrize("trials", [5 * BLOCK_SIZE + 1, 11 * BLOCK_SIZE - 1])
+    def test_average_invariant_to_run_length_and_workers(self, trials, monkeypatch):
+        # At n=10 the default run is 5 blocks; RUN_SITES=1 gives one-block
+        # runs and 2**62 a single run for the whole job.
+        ensemble, rule = make_mackay(), make_initial_state("caseII")
+        monkeypatch.setattr(dqwalk.stats, "RUN_SITES", 1)
+        want = monte_carlo_average(ensemble, rule, 10, trials, 5, workers=1)
+        for budget in (1, RUN_SITES, 2**62):
+            monkeypatch.setattr(dqwalk.stats, "RUN_SITES", budget)
+            for workers in (1, 2, 3):
+                got = monte_carlo_average(ensemble, rule, 10, trials, 5, workers=workers)
+                assert np.array_equal(got.mean_distribution.probs, want.mean_distribution.probs)
+                assert np.array_equal(got.stderr, want.stderr)
+
+    @pytest.mark.parametrize(
+        "trials, workers, pool_size",
+        [(10000, 6, 2), (40000, 2, 2), (40000, 16, 8), (5120, 4, None)],
+    )
+    def test_pool_forks_no_idle_workers(self, trials, workers, pool_size, monkeypatch):
+        # n=10 runs hold 5120 trials: 10000 trials are 2 runs, 40000 are 8,
+        # and 5120 one run, which needs no pool.
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(dqwalk.stats, "ProcessPoolExecutor", RecordingPool)
+        ensemble, rule = make_mackay(), make_initial_state("caseII")
+        pooled = monte_carlo_average(ensemble, rule, 10, trials, 1, workers=workers)
+        serial = monte_carlo_average(ensemble, rule, 10, trials, 1, workers=1)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert np.array_equal(pooled.mean_distribution.probs, serial.mean_distribution.probs)
+        assert np.array_equal(pooled.stderr, serial.stderr)
 
 
 class TestTvDistance:
