@@ -2,8 +2,12 @@
 
 Subcommands: run, average, exact, moments, coeffs, variance.  Every
 output embeds the fully resolved configuration and its digest, so any
-result file can be reproduced byte for byte from its own config.  Seeds
-resolve as: --seed flag > DQW_SEED env var > config file > 0.
+result file can be reproduced byte for byte from its own config.  A
+command reads each input through one resolver (`_Inputs`): flag >
+--config file > default, and for the seed --seed flag > DQW_SEED env var
+> config file > 0.  The resolver records every value as it reads it into
+the config block; --workers, --out and --format never enter it.  A
+command returns its result and CSV rows, and `main` writes the document.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical drift,
 4 infeasible exact enumeration.
@@ -58,17 +62,29 @@ ENSEMBLE_NAMES = (
 )
 
 
+def _convert(key: str, convert, value):
+    """`convert(value)`, raising ValueError for a value of the wrong type or range."""
+    try:
+        return convert(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"malformed {key}: {value!r}") from None
+
+
 def ensemble_from_config(name: str, params: dict) -> CoinEnsemble:
     """Instantiate a catalog ensemble from its config name and parameters."""
     params = dict(params)
+
+    def number(key: str) -> float:
+        return _convert(key, float, params.pop(key))
+
     builders = {
         "ribeiro_uniform": make_ribeiro_uniform,
-        "ribeiro_two_point": lambda: make_ribeiro_two_point(float(params.pop("xi"))),
+        "ribeiro_two_point": lambda: make_ribeiro_two_point(number("xi")),
         "mackay_uniform": make_mackay,
-        "shapira": lambda: make_shapira(float(params.pop("sigma"))),
+        "shapira": lambda: make_shapira(number("sigma")),
         "fixed_hadamard": make_fixed,
     }
-    if name not in builders:
+    if name not in ENSEMBLE_NAMES:
         raise ValueError(f"unknown ensemble {name!r}; choose one of {', '.join(ENSEMBLE_NAMES)}")
     try:
         ensemble = builders[name]()
@@ -82,13 +98,12 @@ def ensemble_from_config(name: str, params: dict) -> CoinEnsemble:
 def parse_init_spec(spec) -> InitialStateRule:
     """Initial state from 'caseI', 'caseII', 'alpha,beta', or [[re,im],[re,im]]."""
     if isinstance(spec, str):
-        text = spec.strip()
-        if text.lower() in ("casei", "caseii", "casei_default", "caseii_uniform_phase",
-                            "case_i", "case_ii"):
-            return make_initial_state(text)
-        parts = text.split(",")
+        parts = spec.split(",")
         if len(parts) != 2:
-            raise ValueError(f"fixed initial state must be 'alpha,beta', got {spec!r}")
+            try:
+                return make_initial_state(spec)
+            except ValueError:
+                raise ValueError(f"fixed initial state must be 'alpha,beta', got {spec!r}") from None
         try:
             alpha, beta = complex(parts[0]), complex(parts[1])
         except ValueError:
@@ -121,68 +136,77 @@ def parse_n_list(text: str) -> list[int]:
     return [int(text)]
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return data
+class _Inputs:
+    """One invocation's inputs, each read as flag > --config file > default.
 
+    Every value a command reads is recorded, as resolved, into `config`,
+    the block its document embeds.  `--workers`, `--out` and `--format`
+    are never recorded, so a document does not depend on them.
+    """
 
-def _resolve_seed(args, file_config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("DQW_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"DQW_SEED must be an integer, got {env!r}") from None
-    if "seed" in file_config:
-        return int(file_config["seed"])
-    return 0
+    def __init__(self, args) -> None:
+        self.args = args
+        self.config = {"command": args.command}
+        self.file = {}
+        if args.config is not None:
+            self.file = json.loads(Path(args.config).read_text())
+            if not isinstance(self.file, dict):
+                raise ValueError(f"config file {args.config} must hold a JSON object")
 
+    def pick(self, key: str, default=None):
+        value = getattr(self.args, key, None)
+        if value is not None:
+            return value
+        return self.file.get(key, default)
 
-def _pick(args, file_config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
+    def record(self, key: str, value):
+        self.config[key] = value
         return value
-    if key in file_config:
-        return file_config[key]
-    return default
 
+    def integer(self, key: str, default=None, missing: str | None = None) -> int:
+        value = self.pick(key, default)
+        if value is None and missing is not None:
+            raise ValueError(missing)
+        return self.record(key, _convert(key, int, value))
 
-def _resolve_ensemble(args, file_config: dict) -> tuple[CoinEnsemble, str, dict]:
-    name = _pick(args, file_config, "ensemble", "ribeiro_uniform")
-    params = dict(file_config.get("params", {}))
-    if getattr(args, "xi", None) is not None:
-        params["xi"] = args.xi
-    if getattr(args, "sigma", None) is not None:
-        params["sigma"] = args.sigma
-    ensemble = ensemble_from_config(name, params)
-    return ensemble, name, dict(ensemble.params)
+    def n(self) -> int:
+        n = self.integer("n", missing="n is required (flag --n or config file)")
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        return n
 
+    def seed(self, record: bool = True) -> int:
+        """--seed flag > DQW_SEED env var > config file > 0."""
+        env = os.environ.get("DQW_SEED")
+        if self.args.seed is not None:
+            seed = self.args.seed
+        elif env is not None:
+            try:
+                seed = int(env)
+            except ValueError:
+                raise ValueError(f"DQW_SEED must be an integer, got {env!r}") from None
+        else:
+            seed = _convert("seed", int, self.file.get("seed", 0))
+        return self.record("seed", seed) if record else seed
 
-def _resolve_init(args, file_config: dict) -> InitialStateRule:
-    spec = _pick(args, file_config, "init", "caseI")
-    return parse_init_spec(spec)
+    def ensemble(self) -> CoinEnsemble:
+        params = _convert("params", dict, self.file.get("params", {}))
+        for key in ("xi", "sigma"):
+            if getattr(self.args, key) is not None:
+                params[key] = getattr(self.args, key)
+        ensemble = ensemble_from_config(self.pick("ensemble", "ribeiro_uniform"), params)
+        self.config.update(ensemble.config())
+        return ensemble
 
+    def init(self) -> InitialStateRule:
+        rule = _convert("init", parse_init_spec, self.pick("init", "caseI"))
+        self.record("init", rule.config())
+        return rule
 
-def _require_workers(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {args.workers}")
-    return args.workers
-
-
-def _require_n(args, file_config: dict) -> int:
-    n = _pick(args, file_config, "n")
-    if n is None:
-        raise ValueError("n is required (flag --n or config file)")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return n
+    def workers(self) -> int:
+        if self.args.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.args.workers}")
+        return self.args.workers
 
 
 def _emit(payload_config: dict, result: dict, fmt: str, out: str | None, csv_rows=None) -> None:
@@ -202,105 +226,50 @@ def _emit(payload_config: dict, result: dict, fmt: str, out: str | None, csv_row
         Path(out).write_text(text)
 
 
-def _cmd_run(args) -> None:
-    file_config = _load_config_file(args.config)
-    ensemble, name, params = _resolve_ensemble(args, file_config)
-    init_rule = _resolve_init(args, file_config)
-    n = _require_n(args, file_config)
-    seed = _resolve_seed(args, file_config)
-    dist = run_realization(ensemble, init_rule, n, seed, trial=0)
-    resolved = {
-        "command": "run",
-        "ensemble": name,
-        "params": params,
-        "init": init_rule.config(),
-        "n": n,
-        "seed": seed,
-    }
-    _emit(resolved, dist.to_json_dict(), args.format, args.out, dist.to_csv_rows())
+def _cmd_run(inputs: _Inputs) -> tuple[dict, list[str] | None]:
+    ensemble, init_rule, n = inputs.ensemble(), inputs.init(), inputs.n()
+    dist = run_realization(ensemble, init_rule, n, inputs.seed(), trial=0)
+    return dist.to_json_dict(), dist.to_csv_rows()
 
 
-def _cmd_average(args) -> None:
-    file_config = _load_config_file(args.config)
-    ensemble, name, params = _resolve_ensemble(args, file_config)
-    init_rule = _resolve_init(args, file_config)
-    n = _require_n(args, file_config)
-    seed = _resolve_seed(args, file_config)
-    trials = _pick(args, file_config, "trials")
-    if trials is None:
-        raise ValueError("trials is required for average")
-    trials = int(trials)
-    audit_draws = int(_pick(args, file_config, "audit_draws", 100_000))
-    workers = _require_workers(args)
+def _cmd_average(inputs: _Inputs) -> tuple[dict, list[str] | None]:
+    ensemble, init_rule, n, seed = inputs.ensemble(), inputs.init(), inputs.n(), inputs.seed()
+    trials = inputs.integer("trials", missing="trials is required for average")
+    audit_draws = inputs.integer("audit_draws", 100_000)
+    workers = inputs.workers()
     # The audit runs after the average; reject its size before that work.
     if audit_draws < 1:
         raise ValueError(f"draws must be at least 1, got {audit_draws}")
     result = monte_carlo_average(ensemble, init_rule, n, trials, seed, workers=workers)
-    audit = audit_moments(ensemble, audit_draws, seed)
-    resolved = {
-        "command": "average",
-        "ensemble": name,
-        "params": params,
-        "init": init_rule.config(),
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "audit_draws": audit_draws,
-    }
     payload = result.to_json_dict()
-    payload["moment_audit"] = audit.to_json_dict()
+    payload["moment_audit"] = audit_moments(ensemble, audit_draws, seed).to_json_dict()
     rows = result.to_csv_rows() + [
         f"# stderr_max: {result.stderr_max!r}",
         f"# tv_to_binomial: {result.tv_to_binomial!r}",
     ]
-    _emit(resolved, payload, args.format, args.out, rows)
+    return payload, rows
 
 
-def _cmd_exact(args) -> None:
-    file_config = _load_config_file(args.config)
-    ensemble, name, params = _resolve_ensemble(args, file_config)
-    init_rule = _resolve_init(args, file_config)
-    n = _require_n(args, file_config)
+def _cmd_exact(inputs: _Inputs) -> tuple[dict, list[str] | None]:
+    ensemble, init_rule, n = inputs.ensemble(), inputs.init(), inputs.n()
     dist = exact_average(ensemble, init_rule, n)
-    reference = binomial_distribution(n)
-    max_dev = float(np.abs(dist.probs - reference.probs).max())
-    resolved = {
-        "command": "exact",
-        "ensemble": name,
-        "params": params,
-        "init": init_rule.config(),
-        "n": n,
-    }
+    max_dev = float(np.abs(dist.probs - binomial_distribution(n).probs).max())
     payload = dist.to_json_dict()
     payload["max_abs_dev_from_binomial"] = max_dev
-    rows = dist.to_csv_rows() + [f"# max_abs_dev_from_binomial: {max_dev!r}"]
-    _emit(resolved, payload, args.format, args.out, rows)
+    return payload, dist.to_csv_rows() + [f"# max_abs_dev_from_binomial: {max_dev!r}"]
 
 
-def _cmd_moments(args) -> None:
-    file_config = _load_config_file(args.config)
-    ensemble, name, params = _resolve_ensemble(args, file_config)
-    seed = _resolve_seed(args, file_config)
-    draws = int(_pick(args, file_config, "draws", 100_000))
-    report = audit_moments(ensemble, draws, seed)
-    resolved = {
-        "command": "moments",
-        "ensemble": name,
-        "params": params,
-        "draws": draws,
-        "seed": seed,
-    }
-    _emit(resolved, report.to_json_dict(), args.format, args.out)
+def _cmd_moments(inputs: _Inputs) -> tuple[dict, list[str] | None]:
+    ensemble, seed = inputs.ensemble(), inputs.seed()
+    report = audit_moments(ensemble, inputs.integer("draws", 100_000), seed)
+    return report.to_json_dict(), None
 
 
-def _cmd_coeffs(args) -> None:
-    file_config = _load_config_file(args.config)
-    ensemble, name, params = _resolve_ensemble(args, file_config)
-    init_rule = _resolve_init(args, file_config)
-    n = _require_n(args, file_config)
+def _cmd_coeffs(inputs: _Inputs) -> tuple[dict, list[str] | None]:
+    ensemble, init_rule, n = inputs.ensemble(), inputs.init(), inputs.n()
     if n < 1:
         raise ValueError("coeffs needs n >= 1")
-    seed = _resolve_seed(args, file_config)
+    seed = inputs.seed()
     rows = ensemble.sample_batch(substream(seed, 0, COIN_STREAM), n)
     coins = [Coin(*map(complex, row)) for row in rows]
     pc = coefficients(coins, n)
@@ -317,55 +286,39 @@ def _cmd_coeffs(args) -> None:
             np.abs(rebuilt.psi_r - reference.psi_r).max(),
         )
     )
-    resolved = {
-        "command": "coeffs",
-        "ensemble": name,
-        "params": params,
-        "init": init_rule.config(),
-        "n": n,
-        "seed": seed,
-    }
     payload = pc.to_json_dict()
     payload["max_reconstruction_residual"] = residual
-    _emit(resolved, payload, args.format, args.out)
+    return payload, None
 
 
-def _cmd_variance(args) -> None:
-    file_config = _load_config_file(args.config)
-    raw_n = _pick(args, file_config, "n")
+def _cmd_variance(inputs: _Inputs) -> tuple[dict, list[str] | None]:
+    raw_n = inputs.pick("n")
     if raw_n is None:
         raise ValueError("n is required (a value, list, or range like 10..100:10)")
     if isinstance(raw_n, (list, tuple)):
-        n_list = [int(v) for v in raw_n]
+        n_list = [_convert("n", int, v) for v in raw_n]
     else:
         n_list = parse_n_list(str(raw_n))
-    walker_name = _pick(args, file_config, "walker", "classical")
-    workers = _require_workers(args)
-    seed = _resolve_seed(args, file_config)
-    resolved = {"command": "variance", "walker": walker_name, "n": list(n_list)}
+    inputs.record("n", n_list)
+    walker_name = inputs.record("walker", inputs.pick("walker", "classical"))
+    workers = inputs.workers()
+    # Only the averaged walker draws random numbers, so only its config holds the seed.
+    seed = inputs.seed(record=walker_name == "averaged")
     if walker_name == "classical":
         walker = ClassicalWalker()
     elif walker_name == "hadamard":
-        init_rule = _resolve_init(args, file_config)
+        init_rule = inputs.init()
         if init_rule.kind != "fixed":
             raise ValueError("the deterministic hadamard walker needs a fixed initial state")
         walker = DeterministicWalker(HADAMARD, init_rule.draw())
-        resolved["init"] = init_rule.config()
     elif walker_name == "averaged":
-        ensemble, name, params = _resolve_ensemble(args, file_config)
-        init_rule = _resolve_init(args, file_config)
-        trials = _pick(args, file_config, "trials")
-        if trials is None:
-            raise ValueError("trials is required for the averaged walker")
-        walker = AveragedWalker(ensemble, init_rule, int(trials), seed, workers=workers)
-        resolved.update(
-            {"ensemble": name, "params": params, "init": init_rule.config(),
-             "trials": int(trials), "seed": seed}
-        )
+        ensemble, init_rule = inputs.ensemble(), inputs.init()
+        trials = inputs.integer("trials", missing="trials is required for the averaged walker")
+        walker = AveragedWalker(ensemble, init_rule, trials, seed, workers=workers)
     else:
         raise ValueError(f"unknown walker {walker_name!r}; choose classical, hadamard, or averaged")
     scan = variance_scan(walker, n_list)
-    _emit(resolved, scan.to_json_dict(), args.format, args.out, scan.to_csv_rows())
+    return scan.to_json_dict(), scan.to_csv_rows()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,7 +382,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.handler(args)
+        inputs = _Inputs(args)
+        payload, csv_rows = args.handler(inputs)
+        _emit(inputs.config, payload, args.format, args.out, csv_rows)
     except EnumerationInfeasibleError as exc:
         print(f"dqwalk: {exc}", file=sys.stderr)
         return 4

@@ -37,6 +37,23 @@ class NumericalDriftError(RuntimeError):
     """Total probability drifted further from 1 than the step budget allows."""
 
 
+def check_norms(totals, step: int) -> None:
+    """Raise NumericalDriftError unless each total probability is within budget.
+
+    `totals` is one walk's total probability after `step` steps, or an
+    array of them.  Each may differ from 1 by at most EPS_UNIT + step *
+    EPS_STEP: the initial state is unit only to EPS_UNIT, and each step
+    adds at most EPS_STEP.  A NaN total fails the check.
+    """
+    drift = np.abs(np.subtract(totals, 1.0))
+    budget = EPS_UNIT + step * EPS_STEP
+    if not np.all(drift <= budget):
+        raise NumericalDriftError(
+            f"total probability drifted by {float(drift.max())!r} (budget {budget!r}) "
+            f"at step {step}"
+        )
+
+
 def _require_finite(name: str, z: complex) -> None:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must be finite, got {z!r}")
@@ -290,17 +307,10 @@ def distribution_of(state: WalkState) -> Distribution:
     Raises
     ------
     NumericalDriftError
-        If the total mass differs from 1 by more than EPS_UNIT + step *
-        EPS_STEP: the initial state is unit only to EPS_UNIT, and each
-        step adds at most EPS_STEP.
+        If the total mass is off the budget of `check_norms`.
     """
     p = state.psi_l.real**2 + state.psi_l.imag**2 + state.psi_r.real**2 + state.psi_r.imag**2
-    budget = EPS_UNIT + state.step * EPS_STEP
-    total = float(p.sum())
-    if abs(total - 1.0) > budget:
-        raise NumericalDriftError(
-            f"total probability {total!r} drifted beyond {budget!r} at step {state.step}"
-        )
+    check_norms(p.sum(), state.step)
     return Distribution(state.step, p)
 
 

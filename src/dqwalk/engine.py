@@ -32,16 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    EPS_STEP,
-    EPS_UNIT,
-    Coin,
-    Distribution,
-    NumericalDriftError,
-    QubitState,
-    WalkState,
-    distribution_of,
-)
+from .core import Coin, Distribution, QubitState, WalkState, check_norms, distribution_of
 from .ensembles import CoinEnsemble, InitialStateRule
 from .streams import COIN_STREAM, INIT_STREAM, substream
 
@@ -55,12 +46,7 @@ def step(state: WalkState, coin: Coin) -> WalkState:
     psi_l = np.concatenate([left, _ZERO])
     psi_r = np.concatenate([_ZERO, right])
     new = WalkState(state.step + 1, psi_l, psi_r)
-    drift = abs(new.norm_sq() - 1.0)
-    budget = EPS_UNIT + new.step * EPS_STEP
-    if not drift <= budget:
-        raise NumericalDriftError(
-            f"total probability drifted by {drift!r} (budget {budget!r}) at step {new.step}"
-        )
+    check_norms(new.norm_sq(), new.step)
     return new
 
 
@@ -168,14 +154,8 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
 
 
 def _check_block_norms(probs: np.ndarray, n: int) -> None:
-    totals = probs.sum(axis=1)
-    drift = np.abs(totals - 1.0)
-    budget = EPS_UNIT + n * EPS_STEP
-    if not np.all(drift <= budget):
-        worst = float(drift.max())
-        raise NumericalDriftError(
-            f"total probability drifted by {worst!r} (budget {budget!r}) at step {n}"
-        )
+    """The drift check of each row of a (trials, n+1) block of probabilities."""
+    check_norms(probs.sum(axis=1), n)
 
 
 def run_realization(

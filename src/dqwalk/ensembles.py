@@ -28,7 +28,8 @@ Sampling is deterministic per stream.  Normal variates use numpy's
 bit stream exactly like the same number of single draws, so per-draw
 reproducibility holds no matter how draws are grouped.  Ensembles whose
 draws are a transform of uniforms (`UniformDraw`: ribeiro_uniform,
-ribeiro_two_point, mackay_uniform, and the caseII initial state) define
+ribeiro_two_point, mackay_uniform, fixed coins, whose transform ignores
+the uniforms, and the caseII initial state) define
 only that transform, which lets Monte Carlo blocks draw all their trials'
 uniforms at once (`dqwalk.streams.block_uniforms`).
 """
@@ -316,8 +317,9 @@ def make_shapira(sigma: float) -> CoinEnsemble:
 
 # --- degenerate ensembles --------------------------------------------------
 
-def _draw_fixed(rng: np.random.Generator, size: int, a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
-    out = np.empty((size, 4), dtype=np.complex128)
+def _fixed_coins(u: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
+    # The uniforms are ignored: a draw is u.size copies of the one coin.
+    out = np.empty((u.size, 4), dtype=np.complex128)
     out[:, 0] = a
     out[:, 1] = b
     out[:, 2] = c
@@ -334,7 +336,9 @@ def make_fixed(coin: Coin = HADAMARD, name: str = "fixed_hadamard") -> CoinEnsem
     """
     return CoinEnsemble(
         name=name,
-        draw_parameters=partial(_draw_fixed, a=coin.a, b=coin.b, c=coin.c, d=coin.d),
+        draw_parameters=UniformDraw(
+            partial(_fixed_coins, a=coin.a, b=coin.b, c=coin.c, d=coin.d)
+        ),
         finite_support=((coin, 1.0),),
         declared_moments=DeclaredMoments(
             abs(coin.a) ** 2, abs(coin.b) ** 2, coin.a * coin.c.conjugate()

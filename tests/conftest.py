@@ -1,10 +1,28 @@
-"""Shared test helpers: generic random unitary coins."""
+"""Shared test helpers: generic random unitary coins and a recording process pool."""
 
 from __future__ import annotations
 
-import numpy as np
+from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+import pytest
+
+import dqwalk.stats
 from dqwalk import Coin, CoinEnsemble
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """The max_workers of every process pool that `monte_carlo_average` builds."""
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(dqwalk.stats, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 def _draw_haar(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -182,7 +182,7 @@ def test_criterion_8_deterministic_counterexample():
     report(8, f"fixed Hadamard at n=4: tv to binomial {distance:.3f} > 0.05")
 
 
-def test_criterion_9_engine_hygiene():
+def test_criterion_9_engine_hygiene(pool_sizes):
     """Property suites over randomized configurations."""
     start = time.perf_counter()
     catalog = [
@@ -239,14 +239,16 @@ def test_criterion_9_engine_hygiene():
         second = run_realization(ensemble, inits[trial % 2], 12, 555, trial=trial)
         assert np.array_equal(first.probs, second.probs)
 
-    # worker-count invariance of the trial farm
+    # worker-count invariance of the trial farm: from n = 63 on a run is
+    # one block, so 1500 trials are two runs and two workers fork a pool
     for ensemble in (catalog[0], catalog[2]):
-        serial = monte_carlo_average(ensemble, inits[0], 6, 1500, 31, workers=1)
-        parallel = monte_carlo_average(ensemble, inits[0], 6, 1500, 31, workers=2)
+        serial = monte_carlo_average(ensemble, inits[0], 63, 1500, 31, workers=1)
+        parallel = monte_carlo_average(ensemble, inits[0], 63, 1500, 31, workers=2)
         assert np.array_equal(
             serial.mean_distribution.probs, parallel.mean_distribution.probs
         )
         assert np.array_equal(serial.stderr, parallel.stderr)
+    assert pool_sizes == [2, 2]
 
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0

@@ -275,6 +275,70 @@ class TestVarianceCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+#: A valid config for each command, and the keys it reads from a config file.
+VALID_CONFIGS = {
+    "run": ({"n": 3}, ("n", "seed", "params", "ensemble", "init")),
+    "average": (
+        {"n": 3, "trials": 10, "audit_draws": 100},
+        ("n", "seed", "params", "trials", "audit_draws"),
+    ),
+    "exact": ({"ensemble": "fixed_hadamard", "n": 3}, ("n", "params", "init")),
+    "moments": ({"draws": 100}, ("seed", "params", "draws")),
+    "coeffs": ({"n": 3}, ("n", "seed", "params", "init")),
+    "variance": (
+        {"walker": "averaged", "n": [2, 4], "trials": 10},
+        ("n", "seed", "params", "trials", "init"),
+    ),
+}
+
+#: A value of the wrong JSON type for each key.
+MALFORMED = {
+    "n": [[2], 4],
+    "seed": [1],
+    "params": [1],
+    "ensemble": ["shapira"],
+    "init": [[[1], 0], [0, 0]],
+    "trials": [10],
+    "audit_draws": [100],
+    "draws": [100],
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command, (_, keys) in VALID_CONFIGS.items() for key in keys],
+    )
+    def test_wrong_type_exits_2(self, command, key, tmp_path, capsys):
+        config = dict(VALID_CONFIGS[command][0])
+        config[key] = MALFORMED[key]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqwalk: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"ensemble": "shapira", "params": {"sigma": [0.3]}}, {"n": float("inf")}],
+        ids=["param-value", "infinite-n"],
+    )
+    def test_unconvertible_value_exits_2(self, config, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 3, **config}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("dqwalk: ")
+
+    def test_workers_never_recorded(self, tmp_path):
+        out = tmp_path / "avg.json"
+        assert main(["average", "--n", "3", "--trials", "10", "--audit-draws", "100",
+                     "--workers", "2", "--out", str(out)]) == 0
+        assert set(load_json(out)["config"]) == {
+            "command", "ensemble", "params", "init", "n", "trials", "seed", "audit_draws",
+        }
+
+
 class TestParsing:
     def test_parse_n_list_forms(self):
         assert parse_n_list("12") == [12]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -145,18 +144,21 @@ class TestBlockStreams:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("init", ["caseI", "caseII"])
     @pytest.mark.parametrize("factory", UNIFORM_CATALOG)
-    def test_block_path_equals_per_trial_path(self, factory, init, workers):
+    def test_block_path_equals_per_trial_path(self, factory, init, workers, pool_sizes):
+        # From n = 63 on a run is one block, so 1500 trials are two runs
+        # and two workers reach the process pool.
         ensemble, rule = factory(), make_initial_state(init)
-        block = monte_carlo_average(ensemble, rule, 5, 1500, 2**64 - 1, workers=workers)
+        block = monte_carlo_average(ensemble, rule, 63, 1500, 2**64 - 1, workers=workers)
         per_trial = monte_carlo_average(
-            as_custom_ensemble(ensemble), as_custom_rule(rule), 5, 1500, 2**64 - 1,
+            as_custom_ensemble(ensemble), as_custom_rule(rule), 63, 1500, 2**64 - 1,
             workers=workers,
         )
+        assert pool_sizes == ([] if workers == 1 else [2, 2])
         assert np.array_equal(block.mean_distribution.probs, per_trial.mean_distribution.probs)
         assert np.array_equal(block.stderr, per_trial.stderr)
         assert block.to_json_dict() == per_trial.to_json_dict()
 
-    @pytest.mark.parametrize("factory", UNIFORM_CATALOG)
+    @pytest.mark.parametrize("factory", UNIFORM_CATALOG + [make_fixed])
     def test_uniform_ensembles_build_no_per_trial_generator(self, factory, monkeypatch):
         def forbidden(*args):
             raise AssertionError("per-trial stream built on the block path")
@@ -332,21 +334,13 @@ class TestRuns:
         "trials, workers, pool_size",
         [(10000, 6, 2), (40000, 2, 2), (40000, 16, 8), (5120, 4, None)],
     )
-    def test_pool_forks_no_idle_workers(self, trials, workers, pool_size, monkeypatch):
+    def test_pool_forks_no_idle_workers(self, trials, workers, pool_size, pool_sizes):
         # n=10 runs hold 5120 trials: 10000 trials are 2 runs, 40000 are 8,
         # and 5120 one run, which needs no pool.
-        sizes = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(dqwalk.stats, "ProcessPoolExecutor", RecordingPool)
         ensemble, rule = make_mackay(), make_initial_state("caseII")
         pooled = monte_carlo_average(ensemble, rule, 10, trials, 1, workers=workers)
         serial = monte_carlo_average(ensemble, rule, 10, trials, 1, workers=1)
-        assert sizes == ([] if pool_size is None else [pool_size])
+        assert pool_sizes == ([] if pool_size is None else [pool_size])
         assert np.array_equal(pooled.mean_distribution.probs, serial.mean_distribution.probs)
         assert np.array_equal(pooled.stderr, serial.stderr)
 

@@ -17,12 +17,24 @@ The grid:
 * `average` for every catalog ensemble x caseI/caseII x 1/2 workers, at
   trial counts one above and one below a multiple of the 1024-trial
   block that cross Monte Carlo run boundaries at n = 10;
-* `variance --walker averaged` at 1 and 2 workers.
+* `variance --walker averaged` at 1 and 2 workers;
+* `run` and `coeffs` for every catalog ensemble x caseI/caseII/0.6,0.8j,
+  and `moments` for every catalog ensemble;
+* `exact` for fixed_hadamard in JSON and CSV, `run` in CSV, and
+  `variance --walker classical|hadamard`;
+* runs that take inputs from a `--config` file and from `DQW_SEED`;
+* the documented error exits: unknown ensemble, missing `n` or `trials`,
+  `--workers 0`, infeasible `exact` (exit 4) and `coeffs --n 0`, some of
+  them with several errors at once.
+
+A case's leading NAME=VALUE arguments are set in its environment, as in a
+shell, and `--config config.json` reads `CONFIG`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +47,11 @@ sys.path.insert(0, str(ROOT / "bench"))
 from run import WORKLOADS  # noqa: E402
 
 SEEDS = (0, 7, 2**64 - 1)
+
+INITS = ("caseI", "caseII", "0.6,0.8j")
+
+#: The config file of the `--config config.json` cases.
+CONFIG = {"ensemble": "shapira", "params": {"sigma": 0.3}, "init": "caseII", "n": 12, "seed": 5}
 
 ENSEMBLES = {
     "ribeiro_uniform": (),
@@ -66,17 +83,66 @@ def grid() -> dict[str, tuple[str, ...]]:
             "--init", "caseII", "--n", "1,10,40", "--trials", "5121",
             "--workers", str(workers), "--seed", "7",
         )
+    for ensemble, params in ENSEMBLES.items():
+        for init in INITS:
+            for command, n in (("run", "40"), ("coeffs", "12")):
+                cases[f"{command}-{ensemble}-{init}"] = (
+                    command, "--ensemble", ensemble, *params, "--init", init, "--n", n,
+                    "--seed", str(2**64 - 1),
+                )
+        cases[f"moments-{ensemble}"] = (
+            "moments", "--ensemble", ensemble, *params, "--draws", "5000", "--seed", "7",
+        )
+    exact = ("exact", "--ensemble", "fixed_hadamard", "--init", "1,0", "--n", "12")
+    cases.update({
+        "exact-fixed_hadamard": exact,
+        "exact-fixed_hadamard-csv": (*exact, "--format", "csv"),
+        "run-csv": ("run", "--ensemble", "mackay_uniform", "--init", "caseII", "--n", "9",
+                    "--format", "csv"),
+        "variance-classical": ("variance", "--walker", "classical", "--n", "10..100:10"),
+        "variance-hadamard": ("variance", "--walker", "hadamard", "--init", "1,0",
+                              "--n", "1,5,20", "--format", "csv"),
+        "config-run": ("run", "--config", "config.json"),
+        "config-average": ("average", "--config", "config.json", "--init", "caseI",
+                           "--trials", "3000", "--audit-draws", "1000"),
+        "env-seed-run": ("DQW_SEED=11", "run", "--ensemble", "mackay_uniform",
+                         "--init", "caseII", "--n", "30"),
+        "env-seed-coeffs": ("DQW_SEED=11", "coeffs", "--n", "6"),
+        "env-seed-overridden": ("DQW_SEED=11", "run", "--n", "6", "--seed", "3"),
+        "error-unknown-ensemble": ("run", "--ensemble", "bogus", "--n", "2"),
+        "error-unknown-ensemble-no-n": ("run", "--ensemble", "bogus", "--init", "nonsense"),
+        "error-missing-n": ("run", "--ensemble", "fixed_hadamard"),
+        "error-missing-trials": ("average", "--n", "4"),
+        "error-missing-trials-workers-0": ("average", "--n", "4", "--workers", "0"),
+        "error-workers-0": ("average", "--n", "4", "--trials", "10", "--workers", "0"),
+        "error-variance-workers-0": ("variance", "--walker", "averaged", "--n", "4",
+                                     "--trials", "10", "--workers", "0"),
+        "error-exact-continuous": ("exact", "--ensemble", "mackay_uniform", "--n", "4"),
+        "error-exact-too-many": ("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854",
+                                 "--n", "24"),
+        "error-coeffs-n-0": ("coeffs", "--n", "0"),
+    })
     return cases
 
 
 def write_documents(src: Path, out: Path) -> None:
-    """Run every case on the package in `src`; write its three files to `out`."""
+    """Run every case on the package in `src`; write its three files to `out`.
+
+    Cases run in `out`'s parent directory, next to the config file.
+    """
     out.mkdir()
-    env = {key: value for key, value in os.environ.items() if key != "DQW_SEED"}
-    env["PYTHONPATH"] = str(src)
+    (out.parent / "config.json").write_text(json.dumps(CONFIG))
+    base_env = {key: value for key, value in os.environ.items() if key != "DQW_SEED"}
+    base_env["PYTHONPATH"] = str(src)
     for name, argv in grid().items():
+        env = dict(base_env)
+        while "=" in argv[0]:
+            key, _, value = argv[0].partition("=")
+            env[key] = value
+            argv = argv[1:]
         done = subprocess.run(
-            [sys.executable, "-m", "dqwalk.cli", *argv], env=env, capture_output=True
+            [sys.executable, "-m", "dqwalk.cli", *argv],
+            env=env, capture_output=True, cwd=out.parent,
         )
         (out / f"{name}.out").write_bytes(done.stdout)
         (out / f"{name}.err").write_bytes(done.stderr)
