@@ -70,6 +70,19 @@ def _convert(key: str, convert, value):
         raise ValueError(f"malformed {key}: {value!r}") from None
 
 
+def _integer(key: str, value) -> int:
+    """An integer or the text of one, raising ValueError for any other value.
+
+    Flags arrive as text.  JSON numbers with a fraction or exponent (`2.7`,
+    `1.0`) and booleans are rejected rather than truncated.
+    """
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"malformed {key}: {value!r}")
+    return value
+
+
 def ensemble_from_config(name: str, params: dict) -> CoinEnsemble:
     """Instantiate a catalog ensemble from its config name and parameters."""
     params = dict(params)
@@ -167,7 +180,7 @@ class _Inputs:
         value = self.pick(key, default)
         if value is None and missing is not None:
             raise ValueError(missing)
-        return self.record(key, _convert(key, int, value))
+        return self.record(key, _integer(key, value))
 
     def n(self) -> int:
         n = self.integer("n", missing="n is required (flag --n or config file)")
@@ -186,7 +199,7 @@ class _Inputs:
             except ValueError:
                 raise ValueError(f"DQW_SEED must be an integer, got {env!r}") from None
         else:
-            seed = _convert("seed", int, self.file.get("seed", 0))
+            seed = _integer("seed", self.file.get("seed", 0))
         return self.record("seed", seed) if record else seed
 
     def ensemble(self) -> CoinEnsemble:
@@ -295,10 +308,12 @@ def _cmd_variance(inputs: _Inputs) -> tuple[dict, list[str] | None]:
     raw_n = inputs.pick("n")
     if raw_n is None:
         raise ValueError("n is required (a value, list, or range like 10..100:10)")
-    if isinstance(raw_n, (list, tuple)):
-        n_list = [_convert("n", int, v) for v in raw_n]
+    if isinstance(raw_n, list):
+        n_list = [_integer("n", v) for v in raw_n]
+    elif isinstance(raw_n, str):
+        n_list = parse_n_list(raw_n)
     else:
-        n_list = parse_n_list(str(raw_n))
+        n_list = [_integer("n", raw_n)]
     inputs.record("n", n_list)
     walker_name = inputs.record("walker", inputs.pick("walker", "classical"))
     workers = inputs.workers()

@@ -12,10 +12,19 @@ unitary for every horizon.
 The private block kernel `_evolve_block` evolves many realizations at
 once with the same elementwise arithmetic as `step`, which keeps single
 runs and Monte Carlo trials bit-identical.  It steps the trials in
-sub-blocks whose size is derived from n alone, in amplitude buffers
-allocated once per call.  A trial's arithmetic does not depend on the
-sub-block it falls in, so results are bit-identical at any block or
-sub-block size.
+sub-blocks whose size is derived from n alone, in amplitude buffers taken
+from the active workspace, else allocated per call.  A trial's arithmetic
+does not depend on the sub-block it falls in, so results are
+bit-identical at any block or sub-block size.
+
+A workspace (`with workspace():`) holds named flat scratch buffers that
+grow to the largest request and are reused, so a caller that runs many
+kernel calls, such as an exact average over its chunks, stops handing
+memory back to the allocator and faulting it in again.  It is
+thread-local and re-entrant: an inner `with workspace():` reuses the
+outer one, and the buffers are freed when the outermost scope exits.
+Lifetime rule: a name belongs to one function, and a buffer is valid
+until that name is requested again.
 
 The kernel starts either at the origin, from one qubit state per trial,
 or from amplitude states already evolved over some steps, and then
@@ -27,8 +36,11 @@ use this to step each shared coin prefix once.
 
 from __future__ import annotations
 
+import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +82,48 @@ def evolve(initial: QubitState, coins: Sequence[Coin]) -> WalkRun:
     return WalkRun(initial=initial, coins=tuple(coins), final=state)
 
 
+class Workspace:
+    """Named flat scratch buffers, each grown to its largest request and reused."""
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised C-ordered array of `shape` over buffer `name`.
+
+        The array is valid until `name` is requested again.
+        """
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < nbytes:
+            buffer = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+
+# The kernel's call stays (abcd, initial), which wrappers that time it by
+# name rely on, so it finds the active workspace here, per thread.
+_active = threading.local()
+
+
+@contextmanager
+def workspace() -> Iterator[Workspace]:
+    """Make a `Workspace` active in this thread for the scope of the block.
+
+    Inside an active workspace the block reuses it, so nested scopes share
+    one set of buffers.
+    """
+    outer = getattr(_active, "workspace", None)
+    if outer is not None:
+        yield outer
+        return
+    _active.workspace = Workspace()
+    try:
+        yield _active.workspace
+    finally:
+        _active.workspace = None
+
+
 #: Bytes of amplitude working set per kernel sub-block: the left, two right
 #: and one scratch complex amplitudes of every trial in it.
 WORKSET = 1 << 20
@@ -108,10 +162,11 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
 
     Trials are stepped in sub-blocks of `rows` trials, sized from the
     final width so that the four amplitude buffers fill WORKSET bytes.
-    The buffers are allocated once per call and hold a sub-block
-    site-major, (w0+q, rows): the first w sites of every trial are one
-    contiguous stretch, so each step is one `_coin_step` on contiguous
-    memory.
+    The buffers are taken from the active workspace, else allocated per
+    call, and hold a sub-block site-major, (w0+q, rows): the first w sites
+    of every trial are one contiguous stretch, so each step is one
+    `_coin_step` on contiguous memory.  The returned rows are always a
+    fresh array.
     """
     if initial.ndim == 2:
         initial = initial[:, np.newaxis, :]
@@ -119,37 +174,38 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     w0 = initial.shape[1]
     width = w0 + q
     rows = max(8, min(trials, WORKSET // (64 * width)))
-    amplitudes = np.empty((4, width * rows), dtype=np.complex128)
-    coin_buffer = np.empty(q * 4 * rows, dtype=abcd.dtype)
-    square_buffer = np.empty(width * rows)
     probs = np.empty((trials, width))
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        m = stop - start
-        l, r, r_next, t = amplitudes[:, : width * m].reshape(4, width, m)
-        # coins[j] unpacks into the (1, m) rows a, b, c, d of step j.
-        coins = coin_buffer[: q * 4 * m].reshape(q, 4, 1, m)
-        np.copyto(coins[:, :, 0], abcd[start:stop].transpose(1, 2, 0))
-        # Cells a step does not write must read as zero: the left cells past
-        # the support and the first right cell.
-        l[w0:] = 0
-        np.copyto(l[:w0], initial[start:stop, :, 0].T)
-        np.copyto(r[:w0], initial[start:stop, :, 1].T)
-        for j in range(q):
-            r_next[0] = 0
-            a, b, c, d = coins[j]
-            w = w0 + j
-            lw = l[:w]
-            _coin_step(a, b, c, d, lw, r[:w], lw, r_next[1 : w + 1], t[:w])
-            r, r_next = r_next, r
-        # Sum the squares site-major, then write the rows out in one copy.
-        out = square_buffer[: width * m].reshape(width, m)
-        tr = t.real
-        np.square(l.real, out=out)
-        np.add(out, np.square(l.imag, out=tr), out=out)
-        np.add(out, np.square(r.real, out=tr), out=out)
-        np.add(out, np.square(r.imag, out=tr), out=out)
-        np.copyto(probs[start:stop].T, out)
+    with workspace() as ws:
+        amplitudes = ws.take("kernel.amplitudes", (4, width * rows), np.complex128)
+        coin_buffer = ws.take("kernel.coins", (q * 4 * rows,), abcd.dtype)
+        square_buffer = ws.take("kernel.squares", (width * rows,), np.float64)
+        for start in range(0, trials, rows):
+            stop = min(start + rows, trials)
+            m = stop - start
+            l, r, r_next, t = amplitudes[:, : width * m].reshape(4, width, m)
+            # coins[j] unpacks into the (1, m) rows a, b, c, d of step j.
+            coins = coin_buffer[: q * 4 * m].reshape(q, 4, 1, m)
+            np.copyto(coins[:, :, 0], abcd[start:stop].transpose(1, 2, 0))
+            # Cells a step does not write must read as zero: the left cells past
+            # the support and the first right cell.
+            l[w0:] = 0
+            np.copyto(l[:w0], initial[start:stop, :, 0].T)
+            np.copyto(r[:w0], initial[start:stop, :, 1].T)
+            for j in range(q):
+                r_next[0] = 0
+                a, b, c, d = coins[j]
+                w = w0 + j
+                lw = l[:w]
+                _coin_step(a, b, c, d, lw, r[:w], lw, r_next[1 : w + 1], t[:w])
+                r, r_next = r_next, r
+            # Sum the squares site-major, then write the rows out in one copy.
+            out = square_buffer[: width * m].reshape(width, m)
+            tr = t.real
+            np.square(l.real, out=out)
+            np.add(out, np.square(l.imag, out=tr), out=out)
+            np.add(out, np.square(r.real, out=tr), out=out)
+            np.add(out, np.square(r.imag, out=tr), out=out)
+            np.copyto(probs[start:stop].T, out)
     return probs
 
 

@@ -423,9 +423,15 @@ _MOMENT_NAMES = ("abs_a_sq", "abs_b_sq", "abs_c_sq", "abs_d_sq", "a_conj_c", "b_
 def _cross_products(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a conj(c) and b conj(d) of every coin row.
 
-    Always taken over the whole columns of `rows`, out of place: numpy's
-    complex multiply can round some elements differently when the same
-    columns are multiplied in pieces or in place.
+    Always taken over the whole columns of `rows`, out of place, because
+    the bits depend on the column length.  numpy's temporary elision
+    evaluates `a * np.conj(c)` as `conj(c) * a`, writing into the
+    temporary, once that temporary reaches 256 KiB (16384 coins), and
+    complex multiply is not bitwise commutative: the two operand orders
+    round the imaginary part of about a third of random products
+    differently.  Multiplying in pieces with one operand order keeps the
+    bits; pieces on either side of 16384 coins, or a numpy build that does
+    not elide, do not.
     """
     a, b, c, d = rows.T
     return a * np.conj(c), b * np.conj(d)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Coin, Distribution, QubitState, WalkState
-from .engine import _check_block_norms, _coin_step, _evolve_block
+from .engine import Workspace, _check_block_norms, _coin_step, _evolve_block, workspace
 from .ensembles import CoinEnsemble, InitialStateRule
 
 BASIS_LABELS = ("P", "Q", "R", "S")
@@ -219,6 +219,7 @@ def _children(lo: int, hi: int, s: int, coin: int) -> tuple[slice, slice]:
 
 
 def _chunk_sum(
+    ws: Workspace,
     entry_rows: np.ndarray,
     weights: np.ndarray,
     initial_row: np.ndarray,
@@ -239,6 +240,10 @@ def _chunk_sum(
     coin steps its parents with one `_coin_step` and multiplies their
     weights by its own, in coin order.  The block kernel then applies
     each sequence's last coin to its parent's state.
+
+    Every array is a view of a buffer of `ws`: the levels alternate
+    between two pairs of buffers, so a level is read while the next is
+    written.
     """
     s = len(entry_rows)
     psi = initial_row.reshape(2, 1, 1)
@@ -246,11 +251,12 @@ def _chunk_sum(
     for level in range(1, n):
         scale = s ** (n - level)
         lo, hi = start // scale, (stop - 1) // scale
-        new_psi = np.empty((2, level + 1, hi - lo + 1), dtype=np.complex128)
+        parity = level % 2
+        new_psi = ws.take(f"trie.psi{parity}", (2, level + 1, hi - lo + 1), np.complex128)
         new_psi[0, level] = 0
         new_psi[1, 0] = 0
-        new_w = np.empty(hi - lo + 1)
-        scratch = np.empty(level * psi.shape[2], dtype=np.complex128)
+        new_w = ws.take(f"trie.w{parity}", (hi - lo + 1,), np.float64)
+        scratch = ws.take("trie.scratch", (level * psi.shape[2],), np.complex128)
         for coin, (a, b, c, d) in enumerate(entry_rows):
             cols, parents = _children(lo, hi, s, coin)
             l, r = psi[:, :, parents]
@@ -258,8 +264,8 @@ def _chunk_sum(
             _coin_step(a, b, c, d, l, r, new_psi[0, :level, cols], new_psi[1, 1:, cols], t)
             new_w[cols] = w[parents] * weights[coin]
         psi, w = new_psi, new_w
-    probs = np.empty((stop - start, n + 1))
-    sequence_w = np.empty(stop - start)
+    probs = ws.take("chunk.probs", (stop - start, n + 1), np.float64)
+    sequence_w = ws.take("chunk.weights", (stop - start,), np.float64)
     for coin, row in enumerate(entry_rows):
         rows, parents = _children(start, stop - 1, s, coin)
         states = psi[:, :, parents].T
@@ -289,7 +295,9 @@ def exact_average(
     (`_chunk_sum`).  A sequence's arithmetic is the same as evolving it
     alone from the origin, and its weight is multiplied in the same order
     as a product over its coins, so the result is bit-identical at any
-    trie or chunk size.
+    trie or chunk size.  The chunks share one workspace, which holds the
+    trie levels, the chunk's rows and the kernel's buffers, so they are
+    allocated once per call rather than once per chunk or kernel call.
 
     Raises
     ------
@@ -324,9 +332,10 @@ def exact_average(
     initial_row = np.array([phi.alpha, phi.beta], dtype=np.complex128)
 
     acc = np.zeros(n + 1)
-    for start in range(0, sequences, _ENUMERATION_CHUNK):
-        stop = min(start + _ENUMERATION_CHUNK, sequences)
-        acc += _chunk_sum(entry_rows, weights, initial_row, n, start, stop)
+    with workspace() as ws:
+        for start in range(0, sequences, _ENUMERATION_CHUNK):
+            stop = min(start + _ENUMERATION_CHUNK, sequences)
+            acc += _chunk_sum(ws, entry_rows, weights, initial_row, n, start, stop)
     return Distribution(n, acc)
 
 

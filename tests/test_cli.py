@@ -319,6 +319,31 @@ class TestMalformedConfig:
         assert err.startswith("dqwalk: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [2.7, 1.0, True], ids=["fraction", "integral-float", "bool"])
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (command, key)
+            for command, (_, keys) in VALID_CONFIGS.items()
+            for key in keys
+            if key in ("n", "seed", "trials", "audit_draws", "draws")
+        ],
+    )
+    def test_non_integer_number_exits_2(self, command, key, value, tmp_path, capsys):
+        # Integers are not truncated from other JSON numbers or booleans.
+        config = dict(VALID_CONFIGS[command][0])
+        config[key] = [value] if command == "variance" and key == "n" else value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"dqwalk: malformed {key}: {value!r}\n"
+
+    def test_non_integer_variance_n_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"walker": "classical", "n": 2.7}))
+        assert main(["variance", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "dqwalk: malformed n: 2.7\n"
+
     @pytest.mark.parametrize(
         "config",
         [{"ensemble": "shapira", "params": {"sigma": [0.3]}}, {"n": float("inf")}],

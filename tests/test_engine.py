@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from dqwalk import (
     split_coin,
     step,
 )
-from dqwalk.engine import WORKSET, _evolve_block
+from dqwalk.engine import WORKSET, _evolve_block, workspace
 
 
 def brute_force_distribution(phi: QubitState, coins) -> dict[int, float]:
@@ -259,6 +260,78 @@ class TestEvolveBlock:
         finally:
             tracemalloc.stop()
         assert peak <= probs.nbytes + 4 * 2**20
+
+
+@st.composite
+def kernel_calls(draw):
+    """(trials, q, w0, seed) of 2-4 kernel calls, the widest first, then narrower."""
+    calls = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 1200), st.integers(0, 30), st.integers(1, 8),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    return sorted(calls, key=lambda call: (call[1] + call[2], call[0]), reverse=True) + calls
+
+
+class TestWorkspace:
+    @settings(max_examples=25, deadline=None)
+    @given(calls=kernel_calls())
+    def test_reused_buffers_give_fresh_bits(self, calls):
+        # Every call in one workspace, after wider and larger ones that left
+        # their values in its buffers, returns the bits of a call without one.
+        fresh = {}
+        for call in calls:
+            trials, q, w0, seed = call
+            rng = np.random.default_rng(seed)
+            abcd = _draw_haar(rng, trials * q).reshape(trials, q, 4)
+            initial = rng.normal(size=(trials, w0, 2)) + 1j * rng.normal(size=(trials, w0, 2))
+            fresh[call] = abcd, initial, _evolve_block(abcd, initial)
+        with workspace():
+            for call in calls:
+                abcd, initial, expected = fresh[call]
+                assert np.array_equal(_evolve_block(abcd, initial), expected)
+
+    def test_scopes_nest_and_stay_in_their_thread(self):
+        with workspace() as outer:
+            with workspace() as inner:
+                assert inner is outer
+            buffer = outer.take("test.buffer", (4,), np.float64)
+            assert np.shares_memory(buffer, outer.take("test.buffer", (2, 2), np.float64))
+            seen = []
+
+            def take_in_thread():
+                with workspace() as ws:
+                    seen.append(ws.take("test.buffer", (4,), np.float64))
+
+            thread = threading.Thread(target=take_in_thread)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert not np.shares_memory(seen[0], buffer)
+        with workspace() as ws:
+            assert ws is not outer
+            assert not np.shares_memory(ws.take("test.buffer", (4,), np.float64), buffer)
+
+    def test_warm_kernel_call_allocates_only_its_rows(self):
+        # In a warm workspace the amplitude, coin and square buffers (about
+        # 300 KiB here) are reused; only the returned rows are new.  The
+        # block is small because numpy's ufunc iterator allocates a transient
+        # buffer, up to 128 KiB, for coin entries broadcast over a sub-block.
+        abcd, initial = haar_block(64, 64, 32)
+        with workspace():
+            _evolve_block(abcd, initial)
+            tracemalloc.start()
+            try:
+                probs = _evolve_block(abcd, initial)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= probs.nbytes + 64 * 2**10
 
 
 class TestRunRealization:

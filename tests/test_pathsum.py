@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from dqwalk import (
 )
 from dqwalk import pathsum
 from dqwalk.pathsum import symbolic_monomials
-from dqwalk.engine import _evolve_block
+from dqwalk.engine import _evolve_block, workspace
 
 
 def basis_matrices(coin):
@@ -310,6 +312,33 @@ class TestExactAverage:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_enclosing_workspace_keeps_bits(self):
+        # One workspace, already holding a larger kernel call's buffers and a
+        # larger average's trie, gives the bits of averages run without one.
+        ensemble, init = make_ribeiro_two_point(0.7854), make_initial_state((0.6, 0.8j))
+        expected = {n: exact_average(ensemble, init, n).probs for n in (9, 15)}
+        with workspace():
+            _evolve_block(np.full((3000, 40, 4), 0.5 + 0.5j), np.tile([1, 0j], (3000, 1)))
+            for n in (15, 9):
+                assert np.array_equal(exact_average(ensemble, init, n).probs, expected[n])
+
+    def test_threads_keep_bits(self, monkeypatch):
+        # Workspaces are per thread: concurrent averages, each over 16
+        # chunks with a short switch interval, all give the serial bits.
+        monkeypatch.setattr(pathsum, "_ENUMERATION_CHUNK", 256)
+        ensemble, init = make_ribeiro_two_point(0.7854), make_initial_state("caseI")
+        expected = exact_average(ensemble, init, 12).probs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(exact_average, ensemble, init, 12) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for dist in results:
+            assert np.array_equal(dist.probs, expected)
 
     def test_fixed_hadamard_differs_from_binomial(self):
         # the deterministic walk is the counterexample: balance holds but

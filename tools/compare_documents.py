@@ -20,8 +20,9 @@ The grid:
 * `variance --walker averaged` at 1 and 2 workers;
 * `run` and `coeffs` for every catalog ensemble x caseI/caseII/0.6,0.8j,
   and `moments` for every catalog ensemble;
-* `exact` for fixed_hadamard in JSON and CSV, `run` in CSV, and
-  `variance --walker classical|hadamard`;
+* `exact` for fixed_hadamard in JSON and CSV, and for ribeiro_two_point
+  x caseI/0.6,0.8j at n = 14 and 15, one and two 16384-sequence chunks;
+* `run` in CSV, and `variance --walker classical|hadamard`;
 * runs that take inputs from a `--config` file and from `DQW_SEED`;
 * the documented error exits: unknown ensemble, missing `n` or `trials`,
   `--workers 0`, infeasible `exact` (exit 4) and `coeffs --n 0`, some of
@@ -93,6 +94,12 @@ def grid() -> dict[str, tuple[str, ...]]:
         cases[f"moments-{ensemble}"] = (
             "moments", "--ensemble", ensemble, *params, "--draws", "5000", "--seed", "7",
         )
+    for init in ("caseI", "0.6,0.8j"):
+        for n in ("14", "15"):
+            cases[f"exact-ribeiro_two_point-{init}-n{n}"] = (
+                "exact", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
+                "--init", init, "--n", n,
+            )
     exact = ("exact", "--ensemble", "fixed_hadamard", "--init", "1,0", "--n", "12")
     cases.update({
         "exact-fixed_hadamard": exact,
