@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Coin, Distribution, QubitState, WalkState
-from .engine import Workspace, _check_block_norms, _coin_step, _evolve_block, workspace
+from .engine import _check_block_norms, _coin_step, _evolve_block
 from .ensembles import CoinEnsemble, InitialStateRule
 
 BASIS_LABELS = ("P", "Q", "R", "S")
@@ -205,6 +205,9 @@ class EnumerationInfeasibleError(RuntimeError):
 
 _ENUMERATION_CHUNK = 1 << 14
 
+#: Exact averaging refuses ensembles with more coin sequences than this.
+_MAX_SEQUENCES = 10_000_000
+
 
 def _children(lo: int, hi: int, s: int, coin: int) -> tuple[slice, slice]:
     """Where the prefixes p*s + coin in lo..hi, and their parents, sit.
@@ -219,13 +222,16 @@ def _children(lo: int, hi: int, s: int, coin: int) -> tuple[slice, slice]:
 
 
 def _chunk_sum(
-    ws: Workspace,
     entry_rows: np.ndarray,
     weights: np.ndarray,
     initial_row: np.ndarray,
     n: int,
     start: int,
     stop: int,
+    trie: dict[int, tuple[np.ndarray, np.ndarray]],
+    scratch: np.ndarray,
+    probs: np.ndarray,
+    sequence_w: np.ndarray,
 ) -> np.ndarray:
     """Weighted sum of the distributions of sequences start..stop-1.
 
@@ -241,9 +247,11 @@ def _chunk_sum(
     weights by its own, in coin order.  The block kernel then applies
     each sequence's last coin to its parent's state.
 
-    Every array is a view of a buffer of `ws`: the levels alternate
-    between two pairs of buffers, so a level is read while the next is
-    written.
+    The levels and their weights are C-ordered views of the flat buffers
+    `trie[level % 2]`, so a level is read while the next is written, and
+    the trie scratch is a view of `scratch`.  The chunk's rows and
+    sequence weights are the first stop-start rows of `probs` and
+    `sequence_w`.
     """
     s = len(entry_rows)
     psi = initial_row.reshape(2, 1, 1)
@@ -251,12 +259,12 @@ def _chunk_sum(
     for level in range(1, n):
         scale = s ** (n - level)
         lo, hi = start // scale, (stop - 1) // scale
-        parity = level % 2
-        new_psi = ws.take(f"trie.psi{parity}", (2, level + 1, hi - lo + 1), np.complex128)
+        width = hi - lo + 1
+        psi_buffer, w_buffer = trie[level % 2]
+        new_psi = psi_buffer[: 2 * (level + 1) * width].reshape(2, level + 1, width)
         new_psi[0, level] = 0
         new_psi[1, 0] = 0
-        new_w = ws.take(f"trie.w{parity}", (hi - lo + 1,), np.float64)
-        scratch = ws.take("trie.scratch", (level * psi.shape[2],), np.complex128)
+        new_w = w_buffer[:width]
         for coin, (a, b, c, d) in enumerate(entry_rows):
             cols, parents = _children(lo, hi, s, coin)
             l, r = psi[:, :, parents]
@@ -264,8 +272,7 @@ def _chunk_sum(
             _coin_step(a, b, c, d, l, r, new_psi[0, :level, cols], new_psi[1, 1:, cols], t)
             new_w[cols] = w[parents] * weights[coin]
         psi, w = new_psi, new_w
-    probs = ws.take("chunk.probs", (stop - start, n + 1), np.float64)
-    sequence_w = ws.take("chunk.weights", (stop - start,), np.float64)
+    probs, sequence_w = probs[: stop - start], sequence_w[: stop - start]
     for coin, row in enumerate(entry_rows):
         rows, parents = _children(start, stop - 1, s, coin)
         states = psi[:, :, parents].T
@@ -279,13 +286,12 @@ def exact_average(
     ensemble: CoinEnsemble,
     init_rule: InitialStateRule,
     n: int,
-    max_sequences: int = 10_000_000,
 ) -> Distribution:
     """Exactly averaged distribution over all coin sequences of length n.
 
     Enumerates the s^n sequences of a finite-support ensemble with their
     product weights and averages the per-sequence distributions.  Needs a
-    fixed initial state and s^n <= max_sequences.
+    fixed initial state and s^n <= `_MAX_SEQUENCES`.
 
     Sequences are reduced in chunks of `_ENUMERATION_CHUNK`, in
     `itertools.product` order.  For each chunk a prefix trie, stored in
@@ -295,15 +301,16 @@ def exact_average(
     (`_chunk_sum`).  A sequence's arithmetic is the same as evolving it
     alone from the origin, and its weight is multiplied in the same order
     as a product over its coins, so the result is bit-identical at any
-    trie or chunk size.  The chunks share one workspace, which holds the
-    trie levels, the chunk's rows and the kernel's buffers, so they are
-    allocated once per call rather than once per chunk or kernel call.
+    trie or chunk size.  The buffers of the trie levels, their weights,
+    the trie scratch and the chunk's rows are allocated once per call,
+    each sized for the deepest level it holds, and every chunk reuses
+    them; the block kernel allocates its own buffers per call.
 
     Raises
     ------
     EnumerationInfeasibleError
         For ensembles without finite support, or when s^n exceeds
-        `max_sequences`.
+        `_MAX_SEQUENCES`.
     ValueError
         For random initial-state rules.
     """
@@ -319,9 +326,9 @@ def exact_average(
         return Distribution(0, np.ones(1))
     support_size = len(ensemble.finite_support)
     sequences = support_size**n
-    if sequences > max_sequences:
+    if sequences > _MAX_SEQUENCES:
         raise EnumerationInfeasibleError(
-            f"{support_size}^{n} = {sequences} coin sequences exceed the cap of {max_sequences}"
+            f"{support_size}^{n} = {sequences} coin sequences exceed the cap of {_MAX_SEQUENCES}"
         )
 
     entry_rows = np.array(
@@ -331,11 +338,26 @@ def exact_average(
     phi = init_rule.draw()
     initial_row = np.array([phi.alpha, phi.beta], dtype=np.complex128)
 
+    # A chunk spans at most columns(L) prefixes of length L.  Levels n-1
+    # and n-2 are the deepest of each parity, and the scratch holds the
+    # parents of level n-1.
+    chunk = min(_ENUMERATION_CHUNK, sequences)
+
+    def columns(level: int) -> int:
+        return (chunk - 1) // support_size ** (n - level) + 2
+
+    trie = {}
+    for level in (n - 2, n - 1):
+        size = 2 * (level + 1) * columns(level)
+        trie[level % 2] = np.empty(size, dtype=np.complex128), np.empty(columns(level))
+    scratch = np.empty((n - 1) * columns(n - 2), dtype=np.complex128)
+    probs, sequence_w = np.empty((chunk, n + 1)), np.empty(chunk)
     acc = np.zeros(n + 1)
-    with workspace() as ws:
-        for start in range(0, sequences, _ENUMERATION_CHUNK):
-            stop = min(start + _ENUMERATION_CHUNK, sequences)
-            acc += _chunk_sum(ws, entry_rows, weights, initial_row, n, start, stop)
+    for start in range(0, sequences, _ENUMERATION_CHUNK):
+        stop = min(start + _ENUMERATION_CHUNK, sequences)
+        acc += _chunk_sum(
+            entry_rows, weights, initial_row, n, start, stop, trie, scratch, probs, sequence_w
+        )
     return Distribution(n, acc)
 
 

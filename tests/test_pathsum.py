@@ -37,7 +37,7 @@ from dqwalk import (
 )
 from dqwalk import pathsum
 from dqwalk.pathsum import symbolic_monomials
-from dqwalk.engine import _evolve_block, workspace
+from dqwalk.engine import _evolve_block
 
 
 def basis_matrices(coin):
@@ -263,13 +263,16 @@ class TestExactAverage:
         with pytest.raises(ValueError):
             exact_average(make_ribeiro_two_point(0.5), make_initial_state("caseII"), 4)
 
-    def test_sequence_cap_enforced(self):
+    def test_sequence_cap_enforced(self, monkeypatch):
         ensemble = make_ribeiro_two_point(0.5)
         with pytest.raises(EnumerationInfeasibleError):
             exact_average(ensemble, make_initial_state("caseI"), 24)
-        # explicit caps are honoured too
+        # a lower cap is honoured too
+        monkeypatch.setattr(pathsum, "_MAX_SEQUENCES", 15)
         with pytest.raises(EnumerationInfeasibleError):
-            exact_average(ensemble, make_initial_state("caseI"), 4, max_sequences=15)
+            exact_average(ensemble, make_initial_state("caseI"), 4)
+        monkeypatch.setattr(pathsum, "_MAX_SEQUENCES", 16)
+        assert exact_average(ensemble, make_initial_state("caseI"), 4).n == 4
 
     @settings(max_examples=40, deadline=None)
     @given(case=enumeration_cases())
@@ -313,18 +316,8 @@ class TestExactAverage:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
-    def test_enclosing_workspace_keeps_bits(self):
-        # One workspace, already holding a larger kernel call's buffers and a
-        # larger average's trie, gives the bits of averages run without one.
-        ensemble, init = make_ribeiro_two_point(0.7854), make_initial_state((0.6, 0.8j))
-        expected = {n: exact_average(ensemble, init, n).probs for n in (9, 15)}
-        with workspace():
-            _evolve_block(np.full((3000, 40, 4), 0.5 + 0.5j), np.tile([1, 0j], (3000, 1)))
-            for n in (15, 9):
-                assert np.array_equal(exact_average(ensemble, init, n).probs, expected[n])
-
     def test_threads_keep_bits(self, monkeypatch):
-        # Workspaces are per thread: concurrent averages, each over 16
+        # Every average owns its buffers: concurrent averages, each over 16
         # chunks with a short switch interval, all give the serial bits.
         monkeypatch.setattr(pathsum, "_ENUMERATION_CHUNK", 256)
         ensemble, init = make_ribeiro_two_point(0.7854), make_initial_state("caseI")
