@@ -10,7 +10,7 @@ the config block; --workers, --out and --format never enter it.  A
 command returns its result and CSV rows, and `main` writes the document.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical drift,
-4 infeasible exact enumeration.
+4 exact average of an ensemble without finite support.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="draws for the embedded moment audit (default 100000)")
     p_avg.set_defaults(handler=_cmd_average)
 
-    p_exact = sub.add_parser("exact", help="exact ensemble average by enumeration")
+    p_exact = sub.add_parser("exact", help="exact average over a finite-support ensemble")
     add_common(p_exact)
     p_exact.set_defaults(handler=_cmd_exact)
 

@@ -16,7 +16,7 @@ Catalog
 -------
 - ``make_ribeiro_uniform()``:   real rotation coins, angle uniform on [0, 2pi)
 - ``make_ribeiro_two_point(xi)``: real rotation coins, angle xi or xi + pi/2
-  with probability 1/2 each (finite support, exact enumeration friendly)
+  with probability 1/2 each (finite support, so `exact_average` applies)
 - ``make_mackay(phase_dist)``:  (1/sqrt 2) [[1, e^{i theta}], [e^{-i theta}, -1]]
 - ``make_shapira(sigma)``:      Hadamard perturbed by a Gaussian SU(2) kick;
   violates the cross-moment condition (see `mu_shapira`)
@@ -182,7 +182,7 @@ def make_ribeiro_two_point(xi: float) -> CoinEnsemble:
 
     The two-point mixture satisfies both moment conditions exactly for
     every xi (cos^2(xi) + cos^2(xi + pi/2) = 1), and its finite support
-    makes exact enumeration of the ensemble average feasible.
+    lets `exact_average` compute the ensemble average exactly.
     """
     xi = float(xi)
     if not 0.0 <= xi < math.pi:

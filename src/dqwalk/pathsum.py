@@ -23,14 +23,12 @@ The coefficients only involve coins 2..n; coin 1 is absorbed into the
 basis and never read.
 
 `exact_average` turns a finite-support coin ensemble into the exactly
-weighted ensemble average of the walk by enumerating all coin sequences,
-and `binomial_law` gives the classical symmetric random walk mass the
-averaged disordered walk collapses to.  Sequences that share a coin
-prefix share the walk state after it, so the enumeration steps a prefix
-trie level by level, each node once per child coin, and hands the block
-kernel only each sequence's last step.  Each trie level is stored in
-prefix order and carries every prefix's weight product down with it,
-so neither the states nor the weights need an index per sequence.
+weighted ensemble average of the walk, and `binomial_law` gives the
+classical symmetric random walk mass the averaged disordered walk
+collapses to.  The average over all s^n coin sequences is carried as a
+factor of the averaged density matrix, which a QR compression keeps at
+no more than 2n columns, so it costs a polynomial in n instead of s^n
+walks.
 """
 
 from __future__ import annotations
@@ -200,86 +198,38 @@ def symbolic_monomials(n: int) -> dict[int, dict[str, set[tuple]]]:
 
 
 class EnumerationInfeasibleError(RuntimeError):
-    """Exact averaging was asked for an ensemble it cannot enumerate."""
+    """Exact averaging was asked for an ensemble without finite support."""
 
 
-_ENUMERATION_CHUNK = 1 << 14
+def _triangular_factor(v: np.ndarray) -> np.ndarray:
+    """A lower-triangular W with W W^H = v v^H, for v of shape (rows, cols).
 
-#: Exact averaging refuses ensembles with more coin sequences than this.
-_MAX_SEQUENCES = 10_000_000
-
-
-def _children(lo: int, hi: int, s: int, coin: int) -> tuple[slice, slice]:
-    """Where the prefixes p*s + coin in lo..hi, and their parents, sit.
-
-    Returns the columns of these children in a level that holds lo..hi in
-    prefix order (every s-th column) and of their parents in the level
-    before, which holds lo // s .. hi // s (a contiguous run).
+    Householder QR of v^T, v^T = Q R, in numpy ufuncs: reflector j maps
+    the rest of row j, v[j, j:], onto its first entry and is applied to
+    the rows below it.  Then v = R^T Q^T and W = R^T is the lower
+    triangle of v's first `rows` columns.  No BLAS or LAPACK routine runs,
+    so the bits do not depend on their thread count.  Overwrites v; needs
+    cols >= rows.
     """
-    first = lo + (coin - lo) % s
-    parent = first // s - lo // s
-    return slice(first - lo, None, s), slice(parent, parent + (hi - first) // s + 1)
-
-
-def _chunk_sum(
-    entry_rows: np.ndarray,
-    weights: np.ndarray,
-    initial_row: np.ndarray,
-    n: int,
-    start: int,
-    stop: int,
-    trie: dict[int, tuple[np.ndarray, np.ndarray]],
-    scratch: np.ndarray,
-    probs: np.ndarray,
-    sequence_w: np.ndarray,
-) -> np.ndarray:
-    """Weighted sum of the distributions of sequences start..stop-1.
-
-    Sequences are numbered in `itertools.product` order over the s
-    support coins, so the (n-1)-coin prefix of sequence k is k // s and
-    the prefixes of length L that the range needs are the consecutive
-    integers lo = start // s^(n-L) .. hi = (stop-1) // s^(n-L).  A trie
-    holds each level in prefix order, prefix p in column p - lo, as the
-    amplitudes `psi` = (psi_l, psi_r) of shape (2, L+1, hi-lo+1) and the
-    weight products `w`.  The children of one coin are every s-th column
-    and their parents a contiguous slice of the level before, so each
-    coin steps its parents with one `_coin_step` and multiplies their
-    weights by its own, in coin order.  The block kernel then applies
-    each sequence's last coin to its parent's state.
-
-    The levels and their weights are C-ordered views of the flat buffers
-    `trie[level % 2]`, so a level is read while the next is written, and
-    the trie scratch is a view of `scratch`.  The chunk's rows and
-    sequence weights are the first stop-start rows of `probs` and
-    `sequence_w`.
-    """
-    s = len(entry_rows)
-    psi = initial_row.reshape(2, 1, 1)
-    w = np.ones(1)
-    for level in range(1, n):
-        scale = s ** (n - level)
-        lo, hi = start // scale, (stop - 1) // scale
-        width = hi - lo + 1
-        psi_buffer, w_buffer = trie[level % 2]
-        new_psi = psi_buffer[: 2 * (level + 1) * width].reshape(2, level + 1, width)
-        new_psi[0, level] = 0
-        new_psi[1, 0] = 0
-        new_w = w_buffer[:width]
-        for coin, (a, b, c, d) in enumerate(entry_rows):
-            cols, parents = _children(lo, hi, s, coin)
-            l, r = psi[:, :, parents]
-            t = scratch[: l.size].reshape(l.shape)
-            _coin_step(a, b, c, d, l, r, new_psi[0, :level, cols], new_psi[1, 1:, cols], t)
-            new_w[cols] = w[parents] * weights[coin]
-        psi, w = new_psi, new_w
-    probs, sequence_w = probs[: stop - start], sequence_w[: stop - start]
-    for coin, row in enumerate(entry_rows):
-        rows, parents = _children(start, stop - 1, s, coin)
-        states = psi[:, :, parents].T
-        probs[rows] = _evolve_block(np.broadcast_to(row, (len(states), 1, 4)), states)
-        sequence_w[rows] = w[parents] * weights[coin]
-    _check_block_norms(probs, n)
-    return sequence_w @ probs
+    rows = v.shape[0]
+    for j in range(rows):
+        x = v[j, j:]
+        w = x.conj()
+        sq = (w * x).real.sum()
+        if sq == 0.0:
+            continue
+        x0 = complex(x[0])
+        norm = math.sqrt(sq)
+        alpha = -norm * x0 / abs(x0) if x0 else -norm
+        # w becomes the conjugate of u = x - alpha e_1, the reflector's
+        # vector, and |u|^2 = 2 (sq + norm |x0|).
+        w[0] -= alpha.conjugate()
+        below = v[j + 1 :, j:]
+        z = (below * w).sum(axis=1)
+        z /= sq + norm * abs(x0)
+        below -= z[:, np.newaxis] * w.conj()
+        v[j, j] = alpha
+    return np.tril(v[:, :rows])
 
 
 def exact_average(
@@ -289,28 +239,29 @@ def exact_average(
 ) -> Distribution:
     """Exactly averaged distribution over all coin sequences of length n.
 
-    Enumerates the s^n sequences of a finite-support ensemble with their
-    product weights and averages the per-sequence distributions.  Needs a
-    fixed initial state and s^n <= `_MAX_SEQUENCES`.
+    The average of the walk over the s^n coin sequences of a
+    finite-support ensemble is the site diagonal of the averaged density
+    matrix rho_L = sum_k w_k U_k rho_{L-1} U_k^H, where U_k steps the walk
+    with support coin k of weight w_k (Brun, Carteret and Ambainis, PRA
+    67, 032304, 2003).  After L steps rho_L acts on the 2(L+1) amplitudes
+    of the walk, so it is carried as a factor V with rho_L = V V^H, of
+    shape (2, L+1, r) like the amplitudes of r walks.  Each step moves V's
+    columns with every support coin k into block k of the next factor,
+    scaled by sqrt(w_k) unless w_k == 1, so the factor has s*r columns.
+    Whenever these exceed 2(L+1), a lower-triangular factor with the same
+    V V^H up to rounding replaces V (`_triangular_factor`), so V never has
+    more than 2n columns and the cost is O(s n^4) at most.  The last step
+    is one block-kernel call per support coin on V's columns, and the
+    columns' site probabilities, summed and weighted by w_k, are the
+    average.
 
-    Sequences are reduced in chunks of `_ENUMERATION_CHUNK`, in
-    `itertools.product` order.  For each chunk a prefix trie, stored in
-    prefix order, steps every distinct (n-1)-coin prefix once and carries
-    its weight product down; then, for each last coin, the block kernel
-    finishes the sequences that end in it from their parents' states
-    (`_chunk_sum`).  A sequence's arithmetic is the same as evolving it
-    alone from the origin, and its weight is multiplied in the same order
-    as a product over its coins, so the result is bit-identical at any
-    trie or chunk size.  The buffers of the trie levels, their weights,
-    the trie scratch and the chunk's rows are allocated once per call,
-    each sized for the deepest level it holds, and every chunk reuses
-    them; the block kernel allocates its own buffers per call.
+    A one-coin ensemble keeps a single column and is never compressed, so
+    its average has the bits of the walk evolved alone.
 
     Raises
     ------
     EnumerationInfeasibleError
-        For ensembles without finite support, or when s^n exceeds
-        `_MAX_SEQUENCES`.
+        For ensembles without finite support.
     ValueError
         For random initial-state rules.
     """
@@ -324,41 +275,35 @@ def exact_average(
         raise ValueError("exact averaging needs a fixed initial state")
     if n == 0:
         return Distribution(0, np.ones(1))
-    support_size = len(ensemble.finite_support)
-    sequences = support_size**n
-    if sequences > _MAX_SEQUENCES:
-        raise EnumerationInfeasibleError(
-            f"{support_size}^{n} = {sequences} coin sequences exceed the cap of {_MAX_SEQUENCES}"
-        )
 
     entry_rows = np.array(
         [[c.a, c.b, c.c, c.d] for c, _ in ensemble.finite_support], dtype=np.complex128
     )
-    weights = np.array([w for _, w in ensemble.finite_support])
+    weights = [w for _, w in ensemble.finite_support]
     phi = init_rule.draw()
-    initial_row = np.array([phi.alpha, phi.beta], dtype=np.complex128)
-
-    # A chunk spans at most columns(L) prefixes of length L.  Levels n-1
-    # and n-2 are the deepest of each parity, and the scratch holds the
-    # parents of level n-1.
-    chunk = min(_ENUMERATION_CHUNK, sequences)
-
-    def columns(level: int) -> int:
-        return (chunk - 1) // support_size ** (n - level) + 2
-
-    trie = {}
-    for level in (n - 2, n - 1):
-        size = 2 * (level + 1) * columns(level)
-        trie[level % 2] = np.empty(size, dtype=np.complex128), np.empty(columns(level))
-    scratch = np.empty((n - 1) * columns(n - 2), dtype=np.complex128)
-    probs, sequence_w = np.empty((chunk, n + 1)), np.empty(chunk)
-    acc = np.zeros(n + 1)
-    for start in range(0, sequences, _ENUMERATION_CHUNK):
-        stop = min(start + _ENUMERATION_CHUNK, sequences)
-        acc += _chunk_sum(
-            entry_rows, weights, initial_row, n, start, stop, trie, scratch, probs, sequence_w
-        )
-    return Distribution(n, acc)
+    factor = np.array([phi.alpha, phi.beta], dtype=np.complex128).reshape(2, 1, 1)
+    for level in range(1, n):
+        cols = factor.shape[2]
+        new = np.empty((2, level + 1, len(entry_rows) * cols), dtype=np.complex128)
+        new[0, level] = 0
+        new[1, 0] = 0
+        t = np.empty((level, cols), dtype=np.complex128)
+        for coin, ((a, b, c, d), w) in enumerate(zip(entry_rows, weights)):
+            block = new[:, :, coin * cols : (coin + 1) * cols]
+            _coin_step(a, b, c, d, factor[0], factor[1], block[0, :level], block[1, 1:], t)
+            if w != 1:
+                block *= math.sqrt(w)
+        rows = 2 * (level + 1)
+        if new.shape[2] > rows:
+            new = _triangular_factor(new.reshape(rows, -1)).reshape(2, level + 1, rows)
+        factor = new
+    states = factor.T
+    total = np.zeros(n + 1)
+    for row, w in zip(entry_rows, weights):
+        probs = _evolve_block(np.broadcast_to(row, (len(states), 1, 4)), states).sum(axis=0)
+        total += probs if w == 1 else w * probs
+    _check_block_norms(total[np.newaxis], n)
+    return Distribution(n, total)
 
 
 def binomial_law(n: int, k: int) -> float:

@@ -50,7 +50,7 @@ def report(number: int, description: str) -> None:
 
 
 def test_criterion_1_exact_binomial_collapse():
-    """Exact enumeration equals the binomial law for two-point ensembles."""
+    """Exact averages equal the binomial law for two-point ensembles."""
     start = time.perf_counter()
     init = make_initial_state("caseI")
     for xi in (0.0, math.pi / 4, 1.0):

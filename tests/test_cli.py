@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -85,24 +86,18 @@ class TestRunCommand:
 
 class TestSeedPrecedence:
     def test_env_seed_used_when_flag_absent(self, tmp_path):
-        import os
-
         env = dict(os.environ, DQW_SEED="123")
         out_env = tmp_path / "env.json"
         run_cli("run", "--n", "5", "--out", str(out_env), env=env)
         assert load_json(out_env)["config"]["seed"] == 123
 
     def test_flag_overrides_env(self, tmp_path):
-        import os
-
         env = dict(os.environ, DQW_SEED="123")
         out = tmp_path / "flag.json"
         run_cli("run", "--n", "5", "--seed", "7", "--out", str(out), env=env)
         assert load_json(out)["config"]["seed"] == 7
 
     def test_bad_env_seed_exits_2(self):
-        import os
-
         env = dict(os.environ, DQW_SEED="not-a-number")
         proc = run_cli("run", "--n", "2", env=env)
         assert proc.returncode == 2
@@ -128,6 +123,27 @@ class TestExactCommand:
         proc = run_cli("exact", "--ensemble", "mackay_uniform", "--n", "4")
         assert proc.returncode == 4
         assert "continuous" in proc.stderr
+
+    def test_two_point_n24_exits_0(self, tmp_path):
+        out = tmp_path / "exact24.json"
+        proc = run_cli("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854",
+                       "--n", "24", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert load_json(out)["result"]["max_abs_dev_from_binomial"] <= 1e-12
+
+    @pytest.mark.parametrize("n", [17, 52, 60, 70])
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, n):
+        # LAPACK's QR under numpy's OpenBLAS gave other bits under two
+        # threads at n = 52 and from n = 66 on; the factor needs neither.
+        documents = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"exact-{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = run_cli("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854",
+                           "--init", "caseI", "--n", str(n), "--out", str(out), env=env)
+            assert proc.returncode == 0, proc.stderr
+            documents.append(out.read_bytes())
+        assert documents[0] == documents[1]
 
 
 class TestAverageCommand:

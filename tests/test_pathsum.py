@@ -17,6 +17,7 @@ from conftest import _draw_haar, haar_coins, make_haar
 from dqwalk import (
     BASIS_LABELS,
     CASE_I_DEFAULT,
+    HADAMARD,
     CoinEnsemble,
     EnumerationInfeasibleError,
     QubitState,
@@ -35,7 +36,6 @@ from dqwalk import (
     term_count,
     tv_distance,
 )
-from dqwalk import pathsum
 from dqwalk.pathsum import symbolic_monomials
 from dqwalk.engine import _evolve_block
 
@@ -203,12 +203,11 @@ class TestBinomialLaw:
             assert dist.prob(k) == binomial_law(9, k)
 
 
-def whole_sequence_average(support, phi: QubitState, n: int, chunk: int) -> np.ndarray:
+def whole_sequence_average(support, phi: QubitState, n: int, chunk: int = 1 << 14) -> np.ndarray:
     """Oracle: evolve every coin sequence whole from the origin.
 
     Sums chunks of `chunk` sequences in itertools.product order, each
-    weighted by its product of support weights, as enumeration did before
-    sequences shared their coin prefixes.
+    weighted by its product of support weights.
     """
     if n == 0:
         return np.ones(1)
@@ -225,7 +224,7 @@ def whole_sequence_average(support, phi: QubitState, n: int, chunk: int) -> np.n
 
 @st.composite
 def enumeration_cases(draw):
-    """(support, phi, n, chunk): 1-4 Haar coins, a random state, s^n <= 1024."""
+    """(support, phi, n): 1-4 Haar coins, a random state, s^n <= 1024."""
     s = draw(st.integers(1, 4))
     n = draw(st.integers(0, 9 if s <= 2 else {3: 6, 4: 5}[s]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -233,8 +232,7 @@ def enumeration_cases(draw):
     weights /= weights.sum()
     support = tuple(zip(haar_coins(rng, s), weights.tolist()))
     alpha, beta = _draw_haar(rng, 1)[0, [0, 2]]
-    chunk = draw(st.sampled_from([1, 2, 7, 64, s ** draw(st.integers(0, n))]))
-    return support, QubitState(complex(alpha), complex(beta)), n, chunk
+    return support, QubitState(complex(alpha), complex(beta)), n
 
 
 class TestExactAverage:
@@ -263,16 +261,11 @@ class TestExactAverage:
         with pytest.raises(ValueError):
             exact_average(make_ribeiro_two_point(0.5), make_initial_state("caseII"), 4)
 
-    def test_sequence_cap_enforced(self, monkeypatch):
-        ensemble = make_ribeiro_two_point(0.5)
-        with pytest.raises(EnumerationInfeasibleError):
-            exact_average(ensemble, make_initial_state("caseI"), 24)
-        # a lower cap is honoured too
-        monkeypatch.setattr(pathsum, "_MAX_SEQUENCES", 15)
-        with pytest.raises(EnumerationInfeasibleError):
-            exact_average(ensemble, make_initial_state("caseI"), 4)
-        monkeypatch.setattr(pathsum, "_MAX_SEQUENCES", 16)
-        assert exact_average(ensemble, make_initial_state("caseI"), 4).n == 4
+    def test_two_point_n24_matches_binomial(self):
+        # 2^24 coin sequences, past the reach of enumerating them.
+        dist = exact_average(make_ribeiro_two_point(0.7854), make_initial_state("caseI"), 24)
+        for k in range(-24, 25):
+            assert abs(dist.prob(k) - binomial_law(24, k)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(case=enumeration_cases())
@@ -281,45 +274,47 @@ class TestExactAverage:
             tuple(zip(haar_coins(np.random.default_rng(11), 3), (0.5, 0.3, 0.2))),
             QubitState(0.6, 0.8j),
             5,
-            7,
         )
     )
-    def test_enumeration_order_and_chunks_match_itertools(self, case):
-        # Random finite supports and states, enumerated in chunks of any
-        # size (partial last chunks included), against every sequence
-        # evolved whole from the origin: identical bits.
-        support, phi, n, chunk = case
+    def test_mixtures_match_enumeration(self, case):
+        # Random finite supports and states against every sequence evolved
+        # whole from the origin.
+        support, phi, n = case
         ensemble = CoinEnsemble(name="mixture", draw_parameters=None, finite_support=support)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pathsum, "_ENUMERATION_CHUNK", chunk)
-            dist = exact_average(ensemble, make_initial_state(phi), n)
-        assert np.array_equal(dist.probs, whole_sequence_average(support, phi, n, chunk))
+        dist = exact_average(ensemble, make_initial_state(phi), n)
+        expected = whole_sequence_average(support, phi, n)
+        assert np.max(np.abs(dist.probs - expected)) <= 1e-14
 
-    def test_default_chunks_at_n17_match_itertools(self):
-        # The benchmark's case: 2^17 sequences in 8 chunks of the real size.
+    def test_bench_case_n17_matches_enumeration(self):
         ensemble = make_ribeiro_two_point(0.7854)
         dist = exact_average(ensemble, make_initial_state("caseI"), 17)
-        expected = whole_sequence_average(
-            ensemble.finite_support, CASE_I_DEFAULT, 17, chunk=pathsum._ENUMERATION_CHUNK
-        )
-        assert np.array_equal(dist.probs, expected)
+        expected = whole_sequence_average(ensemble.finite_support, CASE_I_DEFAULT, 17)
+        assert np.max(np.abs(dist.probs - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 12, 300])
+    @pytest.mark.parametrize("coin", ["hadamard", "haar"])
+    def test_one_coin_keeps_the_walk_bits(self, coin, n):
+        rng = np.random.default_rng(n)
+        coin = HADAMARD if coin == "hadamard" else haar_coins(rng, 1)[0]
+        alpha, beta = _draw_haar(rng, 1)[0, [0, 2]]
+        phi = QubitState(complex(alpha), complex(beta))
+        dist = exact_average(make_fixed(coin), make_initial_state(phi), n)
+        assert np.array_equal(dist.probs, evolve(phi, [coin] * n).distribution().probs)
 
     def test_memory_stays_below_a_per_sequence_coin_array(self):
         # The 2^17 sequences need no (chunk, n, 4) coin array (17.8 MB per
-        # chunk at n=17) and no per-sequence index or gathered states; one
-        # trie level and the chunk's probabilities stay small.
+        # 16384 sequences at n=17): the factor holds at most 2n columns.
         tracemalloc.start()
         try:
             exact_average(make_ribeiro_two_point(0.7854), make_initial_state("caseI"), 17)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 2**20
 
-    def test_threads_keep_bits(self, monkeypatch):
-        # Every average owns its buffers: concurrent averages, each over 16
-        # chunks with a short switch interval, all give the serial bits.
-        monkeypatch.setattr(pathsum, "_ENUMERATION_CHUNK", 256)
+    def test_threads_keep_bits(self):
+        # Every average owns its buffers: concurrent averages with a short
+        # switch interval all give the serial bits.
         ensemble, init = make_ribeiro_two_point(0.7854), make_initial_state("caseI")
         expected = exact_average(ensemble, init, 12).probs
         interval = sys.getswitchinterval()

@@ -21,12 +21,13 @@ The grid:
 * `run` and `coeffs` for every catalog ensemble x caseI/caseII/0.6,0.8j,
   and `moments` for every catalog ensemble;
 * `exact` for fixed_hadamard in JSON and CSV, and for ribeiro_two_point
-  x caseI/0.6,0.8j at n = 14 and 15, one and two 16384-sequence chunks;
+  x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 40 and the default
+  initial state at n = 24;
 * `run` in CSV, and `variance --walker classical|hadamard`;
 * runs that take inputs from a `--config` file and from `DQW_SEED`;
 * the documented error exits: unknown ensemble, missing `n` or `trials`,
-  `--workers 0`, infeasible `exact` (exit 4) and `coeffs --n 0`, some of
-  them with several errors at once.
+  `--workers 0`, `exact` of a continuous ensemble (exit 4) and
+  `coeffs --n 0`, some of them with several errors at once.
 
 A case's leading NAME=VALUE arguments are set in its environment, as in a
 shell, and `--config config.json` reads `CONFIG`.
@@ -100,6 +101,10 @@ def grid() -> dict[str, tuple[str, ...]]:
                 "exact", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
                 "--init", init, "--n", n,
             )
+    cases["exact-ribeiro_two_point-caseI-n40"] = (
+        "exact", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
+        "--init", "caseI", "--n", "40",
+    )
     exact = ("exact", "--ensemble", "fixed_hadamard", "--init", "1,0", "--n", "12")
     cases.update({
         "exact-fixed_hadamard": exact,
@@ -125,8 +130,8 @@ def grid() -> dict[str, tuple[str, ...]]:
         "error-variance-workers-0": ("variance", "--walker", "averaged", "--n", "4",
                                      "--trials", "10", "--workers", "0"),
         "error-exact-continuous": ("exact", "--ensemble", "mackay_uniform", "--n", "4"),
-        "error-exact-too-many": ("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854",
-                                 "--n", "24"),
+        "exact-ribeiro_two_point-n24": ("exact", "--ensemble", "ribeiro_two_point",
+                                        "--xi", "0.7854", "--n", "24"),
         "error-coeffs-n-0": ("coeffs", "--n", "0"),
     })
     return cases
