@@ -46,16 +46,13 @@ from .ensembles import (
     shapira_coin,
 )
 from .pathsum import (
-    BASIS_LABELS,
     EnumerationInfeasibleError,
     PathCoefficients,
     binomial_distribution,
     binomial_law,
     coefficients,
     exact_average,
-    product_table,
     reconstruct_state,
-    term_count,
 )
 from .stats import (
     AveragedResult,
@@ -78,7 +75,6 @@ __all__ = [
     "CASE_I_DEFAULT",
     "COIN_STREAM",
     "INIT_STREAM",
-    "BASIS_LABELS",
     "Coin",
     "CoinValidation",
     "CoinEnsemble",
@@ -113,7 +109,6 @@ __all__ = [
     "make_shapira",
     "monte_carlo_average",
     "mu_shapira",
-    "product_table",
     "reconstruct_state",
     "rotation_coin",
     "run_realization",
@@ -122,7 +117,6 @@ __all__ = [
     "step",
     "substream",
     "summary_stats",
-    "term_count",
     "tv_distance",
     "validate_coin",
     "variance_scan",

@@ -21,8 +21,9 @@ The kernel starts either at the origin, from one qubit state per trial,
 or from amplitude states already evolved over some steps, and then
 applies the remaining coins.  Both forms run the same coin step
 (`_coin_step`), so finishing a walk from its state after a prefix of its
-coins gives the same bits as evolving it from the origin; exact averages
-use this to step each shared coin prefix once.
+coins gives the same bits as evolving it from the origin; `exact_average`
+uses the amplitude-state start to finish its factor's columns with each
+support coin.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from .core import EPS_UNIT, HADAMARD, Coin, QubitState
+from .streams import substream
 
 #: Below this radius the SU(2) kick uses the series form of sin(r)/r,
 #: 1 - r^2/6, whose relative error at the cutoff is under 1e-16.
@@ -353,11 +354,9 @@ MomentFlag = Literal["satisfied", "violated", "inconclusive"]
 #: Minimum sample size for the normal-theory 4-standard-error band.
 _AUDIT_MIN_DRAWS = 100
 
-#: Coins sampled at a time.  Each chunk's sums are added to the running
-#: totals, so this grouping is part of the result's bits.
-_AUDIT_CHUNK = 1 << 20
-
-#: Rows of moment values formed and reduced at a time inside a chunk.
+#: Coins drawn, and rows of moment values reduced, at a time.  The rows
+#: are added in draw order into one running sum, so this size is not part
+#: of the result's bits.
 _AUDIT_PIECE = 1 << 12
 
 
@@ -420,54 +419,19 @@ def _combine(*flags: MomentFlag) -> MomentFlag:
 _MOMENT_NAMES = ("abs_a_sq", "abs_b_sq", "abs_c_sq", "abs_d_sq", "a_conj_c", "b_conj_d")
 
 
-def _cross_products(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a conj(c) and b conj(d) of every coin row.
+def _fill_moment_values(out: np.ndarray, rows: np.ndarray) -> None:
+    """Write the six moment values of each coin row into the rows of `out`.
 
-    Always taken over the whole columns of `rows`, out of place, because
-    the bits depend on the column length.  numpy's temporary elision
-    evaluates `a * np.conj(c)` as `conj(c) * a`, writing into the
-    temporary, once that temporary reaches 256 KiB (16384 coins), and
-    complex multiply is not bitwise commutative: the two operand orders
-    round the imaginary part of about a third of random products
-    differently.  Multiplying in pieces with one operand order keeps the
-    bits; pieces on either side of 16384 coins, or a numpy build that does
-    not elide, do not.
+    The cross products are taken as conj(c) a and conj(d) b, in that
+    operand order: complex multiply is not bitwise commutative, and
+    numpy's temporary elision would turn `a * np.conj(c)` into
+    `conj(c) * a` only from 16384 coins on.
     """
     a, b, c, d = rows.T
-    return a * np.conj(c), b * np.conj(d)
-
-
-def _fill_moment_values(out: np.ndarray, rows: np.ndarray, a_conj_c, b_conj_d) -> None:
-    """Write the six moment values of each coin row into the rows of `out`."""
-    for k in range(4):
-        x = rows[:, k]
+    for k, x in enumerate((a, b, c, d)):
         out[:, k] = x.real**2 + x.imag**2
-    out[:, 4] = a_conj_c
-    out[:, 5] = b_conj_d
-
-
-def _chunk_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over coin rows of the six moment values and of their squared parts.
-
-    Returns the complex (6,) sum and the (6, 2) sums of the squared real
-    and imaginary parts.  The values are formed `_AUDIT_PIECE` rows at a
-    time.  An axis-0 sum of a C-ordered array adds its rows one after
-    another, so reducing each piece with the running sum carried in as its
-    row 0 gives the same bits as one sum over all the rows.
-    """
-    a_conj_c, b_conj_d = _cross_products(rows)
-    piece_rows = min(len(rows), _AUDIT_PIECE)
-    values = np.empty((piece_rows + 1, len(_MOMENT_NAMES)), dtype=np.complex128)
-    squares = np.empty((piece_rows + 1, 2 * len(_MOMENT_NAMES)))
-    for lo in range(0, len(rows), _AUDIT_PIECE):
-        hi = min(lo + _AUDIT_PIECE, len(rows))
-        first = 1 if lo == 0 else 0
-        piece = values[1 : hi - lo + 1]
-        _fill_moment_values(piece, rows[lo:hi], a_conj_c[lo:hi], b_conj_d[lo:hi])
-        np.square(piece.view(np.float64), out=squares[1 : hi - lo + 1])
-        values[0] = np.add.reduce(values[first : hi - lo + 1], axis=0)
-        squares[0] = np.add.reduce(squares[first : hi - lo + 1], axis=0)
-    return values[0], squares[0].reshape(len(_MOMENT_NAMES), 2)
+    out[:, 4] = np.multiply(np.conj(c), a)
+    out[:, 5] = np.multiply(np.conj(d), b)
 
 
 def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentReport:
@@ -485,25 +449,28 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
         rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in ensemble.finite_support])
         weights = np.array([w for _, w in ensemble.finite_support])
         values = np.empty((len(rows), len(_MOMENT_NAMES)), dtype=np.complex128)
-        _fill_moment_values(values, rows, *_cross_products(rows))
+        _fill_moment_values(values, rows)
         means = weights @ values
         estimates = {name: complex(means[i]) for i, name in enumerate(_MOMENT_NAMES)}
         stderrs = {name: 0.0 for name in _MOMENT_NAMES}
         exact = True
     else:
-        from .streams import substream
-
         rng = substream(seed)
-        total = np.zeros(len(_MOMENT_NAMES), dtype=np.complex128)
-        total_sq = np.zeros((len(_MOMENT_NAMES), 2), dtype=np.float64)
-        remaining = draws
-        while remaining > 0:
-            chunk = min(remaining, _AUDIT_CHUNK)
-            value_sum, square_sum = _chunk_sums(ensemble.sample_batch(rng, chunk))
-            total += value_sum
-            total_sq += square_sum
-            remaining -= chunk
-        means = total / draws
+        # Row 0 carries the running sums of the values and of their squared
+        # real and imaginary parts into each piece's reduction.  An axis-0
+        # sum of a C-ordered array adds its rows one after another, so the
+        # pieces make one sequential sum over all the draws.
+        height = min(draws, _AUDIT_PIECE) + 1
+        values = np.zeros((height, len(_MOMENT_NAMES)), dtype=np.complex128)
+        squares = np.zeros((height, 2 * len(_MOMENT_NAMES)))
+        for lo in range(0, draws, _AUDIT_PIECE):
+            end = min(_AUDIT_PIECE, draws - lo) + 1
+            _fill_moment_values(values[1:end], ensemble.sample_batch(rng, end - 1))
+            np.square(values[1:end].view(np.float64), out=squares[1:end])
+            values[0] = np.add.reduce(values[:end], axis=0)
+            squares[0] = np.add.reduce(squares[:end], axis=0)
+        means = values[0] / draws
+        total_sq = squares[0].reshape(len(_MOMENT_NAMES), 2)
         estimates = {name: complex(means[i]) for i, name in enumerate(_MOMENT_NAMES)}
         stderrs = {}
         for i, name in enumerate(_MOMENT_NAMES):

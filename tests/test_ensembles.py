@@ -32,8 +32,8 @@ from dqwalk import (
     substream,
     validate_coin,
 )
+from dqwalk import ensembles
 from dqwalk.ensembles import (
-    _AUDIT_CHUNK,
     _MOMENT_NAMES,
     MomentReport,
     _combine,
@@ -41,6 +41,12 @@ from dqwalk.ensembles import (
 )
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
+
+#: A real-coin and a complex-coin ensemble without finite support.
+SAMPLED_AUDITS = pytest.mark.parametrize(
+    "factory", [make_ribeiro_uniform, lambda: make_shapira(0.3)],
+    ids=["ribeiro_uniform", "shapira"],
+)
 
 CATALOG = [
     make_ribeiro_uniform,
@@ -188,16 +194,16 @@ def eager_moment_values(rows):
             b.real**2 + b.imag**2,
             c.real**2 + c.imag**2,
             d.real**2 + d.imag**2,
-            a * np.conj(c),
-            b * np.conj(d),
+            np.multiply(np.conj(c), a),
+            np.multiply(np.conj(d), b),
         ],
         axis=1,
     ).astype(np.complex128)
 
 
 def eager_audit_moments(ensemble, draws, seed=0):
-    """`audit_moments` forming each chunk's (chunk, 6) values whole: the
-    reference for the bits of the piecewise sums."""
+    """`audit_moments` forming all the draws' (draws, 6) values at once and
+    summing them whole: the reference for the bits of the piecewise sums."""
     if ensemble.finite_support is not None:
         rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in ensemble.finite_support])
         weights = np.array([w for _, w in ensemble.finite_support])
@@ -209,14 +215,10 @@ def eager_audit_moments(ensemble, draws, seed=0):
         rng = substream(seed)
         total = np.zeros(len(_MOMENT_NAMES), dtype=np.complex128)
         total_sq = np.zeros((len(_MOMENT_NAMES), 2), dtype=np.float64)
-        remaining = draws
-        while remaining > 0:
-            chunk = min(remaining, _AUDIT_CHUNK)
-            values = eager_moment_values(ensemble.sample_batch(rng, chunk))
-            total += values.sum(axis=0)
-            total_sq[:, 0] += (values.real**2).sum(axis=0)
-            total_sq[:, 1] += (values.imag**2).sum(axis=0)
-            remaining -= chunk
+        values = eager_moment_values(ensemble.sample_batch(rng, draws))
+        total += values.sum(axis=0)
+        total_sq[:, 0] += (values.real**2).sum(axis=0)
+        total_sq[:, 1] += (values.imag**2).sum(axis=0)
         means = total / draws
         estimates = {name: complex(means[i]) for i, name in enumerate(_MOMENT_NAMES)}
         stderrs = {}
@@ -276,27 +278,41 @@ class TestAuditMoments:
         report = audit_moments(make_ribeiro_uniform(), draws=10, seed=0)
         assert report.eq_balance == "inconclusive"
 
-    @pytest.mark.parametrize("draws", [1, 100, 100_000, 2**20 + 5])
+    @pytest.mark.parametrize("draws", [1, 100, 16383, 16384, 100_000, 2**20 + 5])
     @pytest.mark.parametrize("factory", CATALOG)
     def test_equals_whole_chunk_audit(self, factory, draws):
         # Pieces reduced with the running sum carried in must give the
-        # bits of whole-chunk sums; 2**20 + 5 spans two sampling chunks.
+        # bits of one sum over all the draws' values.  16383 and 16384 sit
+        # either side of the size at which numpy elides the temporary of
+        # `a * np.conj(c)`, which would swap the product's operands.
         ensemble = factory()
         report = audit_moments(ensemble, draws, seed=13)
         eager = eager_audit_moments(ensemble, draws, seed=13)
         assert report == eager
         assert json.dumps(report.to_json_dict()) == json.dumps(eager.to_json_dict())
 
-    def test_memory_stays_below_whole_chunk_values(self):
-        # Whole-chunk values take 25.6 MB at 100000 draws: the coins, a
-        # stacked value array and its complex copy.
+    @SAMPLED_AUDITS
+    def test_piece_size_is_not_part_of_the_bits(self, factory, monkeypatch):
+        documents = set()
+        for piece in (1, 7, 4096):
+            monkeypatch.setattr(ensembles, "_AUDIT_PIECE", piece)
+            report = audit_moments(factory(), draws=20_000, seed=5)
+            documents.add(json.dumps(report.to_json_dict()))
+        assert len(documents) == 1
+
+    @SAMPLED_AUDITS
+    def test_memory_does_not_grow_with_draws(self, factory):
+        # Drawing all 2**20 + 5 coins at once would take 16 MiB for the
+        # coins alone and about 100 MiB (ribeiro_uniform) or 200 MiB
+        # (shapira) at its peak; pieces of 4096 coins need under 2 MiB.
+        ensemble = factory()
         tracemalloc.start()
         try:
-            audit_moments(make_ribeiro_uniform(), draws=100_000, seed=0)
+            audit_moments(ensemble, draws=2**20 + 5, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20
+        assert peak <= 4 * 2**20
 
 
 class TestCatalogContracts:

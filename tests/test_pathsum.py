@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from conftest import _draw_haar, haar_coins, make_haar
 from dqwalk import (
-    BASIS_LABELS,
     CASE_I_DEFAULT,
     HADAMARD,
     CoinEnsemble,
@@ -30,13 +29,11 @@ from dqwalk import (
     make_initial_state,
     make_mackay,
     make_ribeiro_two_point,
-    product_table,
     reconstruct_state,
     split_coin,
-    term_count,
     tv_distance,
 )
-from dqwalk.pathsum import symbolic_monomials
+from dqwalk.pathsum import BASIS_LABELS, product_table, symbolic_monomials, term_count
 from dqwalk.engine import _evolve_block
 
 

@@ -20,6 +20,9 @@ The grid:
 * `variance --walker averaged` at 1 and 2 workers;
 * `run` and `coeffs` for every catalog ensemble x caseI/caseII/0.6,0.8j,
   and `moments` for every catalog ensemble;
+* `moments` of shapira at 20000 draws, past the 16384 coins from which
+  numpy elides temporaries, and of ribeiro_uniform at 1100000 draws,
+  past 2^20;
 * `exact` for fixed_hadamard in JSON and CSV, and for ribeiro_two_point
   x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 40 and the default
   initial state at n = 24;
@@ -95,6 +98,13 @@ def grid() -> dict[str, tuple[str, ...]]:
         cases[f"moments-{ensemble}"] = (
             "moments", "--ensemble", ensemble, *params, "--draws", "5000", "--seed", "7",
         )
+    cases["moments-shapira-d20000"] = (
+        "moments", "--ensemble", "shapira", *ENSEMBLES["shapira"], "--draws", "20000",
+        "--seed", "7",
+    )
+    cases["moments-ribeiro_uniform-d1100000"] = (
+        "moments", "--ensemble", "ribeiro_uniform", "--draws", "1100000", "--seed", "7",
+    )
     for init in ("caseI", "0.6,0.8j"):
         for n in ("14", "15"):
             cases[f"exact-ribeiro_two_point-{init}-n{n}"] = (
