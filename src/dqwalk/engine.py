@@ -22,8 +22,9 @@ or from amplitude states already evolved over some steps, and then
 applies the remaining coins.  Both forms run the same coin step
 (`_coin_step`), so finishing a walk from its state after a prefix of its
 coins gives the same bits as evolving it from the origin; `exact_average`
-uses the amplitude-state start to finish its factor's columns with each
-support coin.
+uses the amplitude-state start for its last step with each support coin,
+on its factor's columns or on two states that carry the site blocks of
+its averaged density matrix.
 """
 
 from __future__ import annotations

@@ -26,9 +26,10 @@ basis and never read.
 weighted ensemble average of the walk, and `binomial_law` gives the
 classical symmetric random walk mass the averaged disordered walk
 collapses to.  The average over all s^n coin sequences is carried as a
-factor of the averaged density matrix, which a QR compression keeps at
-no more than 2n columns, so it costs a polynomial in n instead of s^n
-walks.
+factor of the averaged density matrix while the factor has no more
+columns than rows, and then as the dense matrix, stepped by the
+coin-averaged channel, so it costs O(n^3) time and O(n^2) memory
+instead of s^n walks.
 """
 
 from __future__ import annotations
@@ -201,35 +202,74 @@ class EnumerationInfeasibleError(RuntimeError):
     """Exact averaging was asked for an ensemble without finite support."""
 
 
-def _triangular_factor(v: np.ndarray) -> np.ndarray:
-    """A lower-triangular W with W W^H = v v^H, for v of shape (rows, cols).
+def _channel_states(
+    factor: np.ndarray, entry_rows: np.ndarray, weights: list, n: int
+) -> np.ndarray:
+    """The averaged state after n-1 steps as two amplitude "trials".
 
-    Householder QR of v^T, v^T = Q R, in numpy ufuncs: reflector j maps
-    the rest of row j, v[j, j:], onto its first entry and is applied to
-    the rows below it.  Then v = R^T Q^T and W = R^T is the lower
-    triangle of v's first `rows` columns.  No BLAS or LAPACK routine runs,
-    so the bits do not depend on their thread count.  Overwrites v; needs
-    cols >= rows.
+    `factor` (2, w, r) is the factor of the averaged density matrix after
+    w-1 steps.  rho = V V^H is formed once, summed over V's columns in
+    column order, and carried as four (site, site) blocks rho_cd, c and d
+    in (l, r), in two (2, 2, n, n) buffers that swap each step.  A step is
+    the coin-averaged channel
+
+        rho'_ab(i + delta_a, j + delta_b) = sum_cd T[a,b,c,d] rho_cd(i, j)
+
+    with delta_l = 0, delta_r = 1 and T[a,b,c,d] = sum_k w_k U_k[a,c]
+    conj(U_k[b,d]) summed in support order; the (c, d) terms are taken in
+    the order ll, lr, rl, rr with the T entry as the first multiply
+    operand, and every cell a step does not write is zeroed.
+
+    The last step's site probabilities read only each site's 2x2 block
+    [[p, z], [conj(z), q]] of rho, which is v1 v1^H + v2 v2^H for
+    v1 = (sqrt(p), conj(z)/sqrt(p)) and v2 = (0, sqrt(max(q - |z|^2/p, 0))),
+    or v1 = 0 and v2 = (0, sqrt(q)) where p <= 0.  Returns them as (2, n, 2)
+    amplitude states, v1 at every site in trial 0 and v2 in trial 1.
     """
-    rows = v.shape[0]
-    for j in range(rows):
-        x = v[j, j:]
-        w = x.conj()
-        sq = (w * x).real.sum()
-        if sq == 0.0:
-            continue
-        x0 = complex(x[0])
-        norm = math.sqrt(sq)
-        alpha = -norm * x0 / abs(x0) if x0 else -norm
-        # w becomes the conjugate of u = x - alpha e_1, the reflector's
-        # vector, and |u|^2 = 2 (sq + norm |x0|).
-        w[0] -= alpha.conjugate()
-        below = v[j + 1 :, j:]
-        z = (below * w).sum(axis=1)
-        z /= sq + norm * abs(x0)
-        below -= z[:, np.newaxis] * w.conj()
-        v[j, j] = alpha
-    return np.tril(v[:, :rows])
+    _, width, cols = factor.shape
+    channel = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+    for row, w in zip(entry_rows, weights):
+        u = row.reshape(2, 2)
+        channel += w * (u[:, np.newaxis, :, np.newaxis] * u.conj()[np.newaxis, :, np.newaxis, :])
+    rho, new = np.empty((2, 2, 2, n, n), dtype=np.complex128)
+    term = np.empty((2, 2, width, width), dtype=np.complex128)
+    window = rho[:, :, :width, :width]
+    window[...] = 0
+    for col in range(cols):
+        v = factor[:, :, col]
+        np.multiply(
+            v[:, np.newaxis, :, np.newaxis], v.conj()[np.newaxis, :, np.newaxis, :], out=term
+        )
+        np.add(window, term, out=window)
+    scratch = np.empty(n * n, dtype=np.complex128)
+    for width in range(width, n):
+        src = rho[:, :, :width, :width]
+        t = scratch[: width * width].reshape(width, width)
+        for a in (0, 1):
+            for b in (0, 1):
+                out = new[a, b, : width + 1, : width + 1]
+                out[width * (1 - a)] = 0
+                out[:, width * (1 - b)] = 0
+                dst = out[a : a + width, b : b + width]
+                coeffs = channel[a, b]
+                np.multiply(coeffs[0, 0], src[0, 0], out=dst)
+                for c, d in ((0, 1), (1, 0), (1, 1)):
+                    np.multiply(coeffs[c, d], src[c, d], out=t)
+                    np.add(dst, t, out=dst)
+        rho, new = new, rho
+    sites = np.arange(n)
+    p = rho[0, 0, sites, sites].real
+    z = rho[0, 1, sites, sites]
+    q = rho[1, 1, sites, sites].real
+    pos = p > 0
+    root = np.sqrt(p[pos])
+    states = np.zeros((2, n, 2), dtype=np.complex128)
+    states[0, pos, 0] = root
+    states[0, pos, 1] = z[pos].conj() / root
+    explained = np.zeros(n)
+    explained[pos] = (z.real[pos] ** 2 + z.imag[pos] ** 2) / p[pos]
+    states[1, :, 1] = np.sqrt(np.maximum(q - explained, 0))
+    return states
 
 
 def exact_average(
@@ -244,19 +284,20 @@ def exact_average(
     matrix rho_L = sum_k w_k U_k rho_{L-1} U_k^H, where U_k steps the walk
     with support coin k of weight w_k (Brun, Carteret and Ambainis, PRA
     67, 032304, 2003).  After L steps rho_L acts on the 2(L+1) amplitudes
-    of the walk, so it is carried as a factor V with rho_L = V V^H, of
-    shape (2, L+1, r) like the amplitudes of r walks.  Each step moves V's
+    of the walk.  It is first carried as a factor V with rho_L = V V^H, of
+    shape (2, L+1, r) like the amplitudes of r walks: each step moves V's
     columns with every support coin k into block k of the next factor,
     scaled by sqrt(w_k) unless w_k == 1, so the factor has s*r columns.
-    Whenever these exceed 2(L+1), a lower-triangular factor with the same
-    V V^H up to rounding replaces V (`_triangular_factor`), so V never has
-    more than 2n columns and the cost is O(s n^4) at most.  The last step
-    is one block-kernel call per support coin on V's columns, and the
-    columns' site probabilities, summed and weighted by w_k, are the
+    At the first step where these would exceed 2(L+1), the rows, rho is
+    formed from V once and the remaining steps but the last apply the
+    dense channel to it (`_channel_states`), O(n^2) per step and memory.
+    The last step is one block-kernel call per support coin on V's
+    columns, or on the two states that carry rho's site blocks, and the
+    states' site probabilities, summed and weighted by w_k, are the
     average.
 
-    A one-coin ensemble keeps a single column and is never compressed, so
-    its average has the bits of the walk evolved alone.
+    A one-coin ensemble keeps a single column and never switches, so its
+    average has the bits of the walk evolved alone.
 
     Raises
     ------
@@ -282,7 +323,8 @@ def exact_average(
     weights = [w for _, w in ensemble.finite_support]
     phi = init_rule.draw()
     factor = np.array([phi.alpha, phi.beta], dtype=np.complex128).reshape(2, 1, 1)
-    for level in range(1, n):
+    level = 1
+    while level < n and len(entry_rows) * factor.shape[2] <= 2 * (level + 1):
         cols = factor.shape[2]
         new = np.empty((2, level + 1, len(entry_rows) * cols), dtype=np.complex128)
         new[0, level] = 0
@@ -293,11 +335,9 @@ def exact_average(
             _coin_step(a, b, c, d, factor[0], factor[1], block[0, :level], block[1, 1:], t)
             if w != 1:
                 block *= math.sqrt(w)
-        rows = 2 * (level + 1)
-        if new.shape[2] > rows:
-            new = _triangular_factor(new.reshape(rows, -1)).reshape(2, level + 1, rows)
         factor = new
-    states = factor.T
+        level += 1
+    states = factor.T if level == n else _channel_states(factor, entry_rows, weights, n)
     total = np.zeros(n + 1)
     for row, w in zip(entry_rows, weights):
         probs = _evolve_block(np.broadcast_to(row, (len(states), 1, 4)), states).sum(axis=0)

@@ -131,6 +131,13 @@ class TestExactCommand:
         assert proc.returncode == 0, proc.stderr
         assert load_json(out)["result"]["max_abs_dev_from_binomial"] <= 1e-12
 
+    def test_two_point_n100_exits_0(self, tmp_path):
+        out = tmp_path / "exact100.json"
+        proc = run_cli("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854",
+                       "--n", "100", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert load_json(out)["result"]["max_abs_dev_from_binomial"] <= 1e-12
+
     @pytest.mark.parametrize("n", [17, 52, 60, 70])
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, n):
         # LAPACK's QR under numpy's OpenBLAS gave other bits under two

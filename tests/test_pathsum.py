@@ -33,6 +33,7 @@ from dqwalk import (
     split_coin,
     tv_distance,
 )
+from dqwalk import pathsum
 from dqwalk.pathsum import BASIS_LABELS, product_table, symbolic_monomials, term_count
 from dqwalk.engine import _evolve_block
 
@@ -282,6 +283,36 @@ class TestExactAverage:
         expected = whole_sequence_average(support, phi, n)
         assert np.max(np.abs(dist.probs - expected)) <= 1e-14
 
+    @pytest.mark.parametrize("phi", [(1, 0), (0, 1), (0.6, 0.8j)], ids=str)
+    @pytest.mark.parametrize("s, n", [(2, 9), (3, 6), (4, 5)])
+    def test_dense_channel_matches_enumeration(self, monkeypatch, s, n, phi):
+        # Haar supports past the switch from the factor to the dense
+        # channel, which then runs at least 3 steps; the fixed states (1,0)
+        # and (0,1) reach the p = 0 and q = 0 branches of the last step.
+        widths = []
+        channel_states = pathsum._channel_states
+
+        def spy(factor, *args):
+            widths.append(factor.shape[1])
+            return channel_states(factor, *args)
+
+        monkeypatch.setattr(pathsum, "_channel_states", spy)
+        rng = np.random.default_rng(100 * s + n)
+        weights = rng.random(s) + 0.05
+        weights /= weights.sum()
+        support = tuple(zip(haar_coins(rng, s), weights.tolist()))
+        ensemble = CoinEnsemble(name="mixture", draw_parameters=None, finite_support=support)
+        phi = QubitState(*phi)
+        dist = exact_average(ensemble, make_initial_state(phi), n)
+        assert len(widths) == 1 and n - widths[0] >= 3
+        expected = whole_sequence_average(support, phi, n)
+        assert np.max(np.abs(dist.probs - expected)) <= 1e-14
+
+    def test_two_point_n200_matches_binomial(self):
+        dist = exact_average(make_ribeiro_two_point(0.7854), make_initial_state("caseI"), 200)
+        for k in range(-200, 201):
+            assert abs(dist.prob(k) - binomial_law(200, k)) <= 1e-12
+
     def test_bench_case_n17_matches_enumeration(self):
         ensemble = make_ribeiro_two_point(0.7854)
         dist = exact_average(ensemble, make_initial_state("caseI"), 17)
@@ -298,16 +329,24 @@ class TestExactAverage:
         dist = exact_average(make_fixed(coin), make_initial_state(phi), n)
         assert np.array_equal(dist.probs, evolve(phi, [coin] * n).distribution().probs)
 
-    def test_memory_stays_below_a_per_sequence_coin_array(self):
-        # The 2^17 sequences need no (chunk, n, 4) coin array (17.8 MB per
-        # 16384 sequences at n=17): the factor holds at most 2n columns.
+    @staticmethod
+    def traced_peak(n):
         tracemalloc.start()
         try:
-            exact_average(make_ribeiro_two_point(0.7854), make_initial_state("caseI"), 17)
-            _, peak = tracemalloc.get_traced_memory()
+            exact_average(make_ribeiro_two_point(0.7854), make_initial_state("caseI"), n)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2**20
+
+    def test_memory_stays_below_a_per_sequence_coin_array(self):
+        # The 2^17 sequences need no (chunk, n, 4) coin array (17.8 MB per
+        # 16384 sequences at n=17): the factor holds at most 2(L+1) columns
+        # after L steps, and the dense channel two (2, 2, n, n) buffers.
+        assert self.traced_peak(17) <= 2**20
+
+    def test_memory_at_n100(self):
+        # The dense channel's two (2, 2, 100, 100) buffers are 1.3 MB.
+        assert self.traced_peak(100) <= 4 * 2**20
 
     def test_threads_keep_bits(self):
         # Every average owns its buffers: concurrent averages with a short

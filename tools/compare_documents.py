@@ -24,8 +24,8 @@ The grid:
   numpy elides temporaries, and of ribeiro_uniform at 1100000 draws,
   past 2^20;
 * `exact` for fixed_hadamard in JSON and CSV, and for ribeiro_two_point
-  x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 40 and the default
-  initial state at n = 24;
+  x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 40 and 100, 0.6,0.8j
+  at n = 60 and the default initial state at n = 24;
 * `run` in CSV, and `variance --walker classical|hadamard`;
 * runs that take inputs from a `--config` file and from `DQW_SEED`;
 * the documented error exits: unknown ensemble, missing `n` or `trials`,
@@ -111,10 +111,11 @@ def grid() -> dict[str, tuple[str, ...]]:
                 "exact", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
                 "--init", init, "--n", n,
             )
-    cases["exact-ribeiro_two_point-caseI-n40"] = (
-        "exact", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
-        "--init", "caseI", "--n", "40",
-    )
+    for init, n in (("caseI", "40"), ("caseI", "100"), ("0.6,0.8j", "60")):
+        cases[f"exact-ribeiro_two_point-{init}-n{n}"] = (
+            "exact", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
+            "--init", init, "--n", n,
+        )
     exact = ("exact", "--ensemble", "fixed_hadamard", "--init", "1,0", "--n", "12")
     cases.update({
         "exact-fixed_hadamard": exact,
