@@ -6,9 +6,9 @@ with vanishing cross moment E(a conj c) = 0, and the initial chirality
 state is balanced as well, the ensemble-averaged position distribution
 is exactly the classical symmetric random walk's binomial law.  This
 package verifies that collapse three independent ways: exact averages
-over finite-support ensembles, carried as the coin-averaged density
-matrix, a path-sum coefficient algebra, and seeded Monte Carlo
-averaging.
+over finite-support ensembles, which step the averaged density matrix
+by the coin-averaged channel from the first step, a path-sum
+coefficient algebra, and seeded Monte Carlo averaging.
 """
 
 from .core import (

@@ -19,12 +19,12 @@ sub-block size.
 
 The kernel starts either at the origin, from one qubit state per trial,
 or from amplitude states already evolved over some steps, and then
-applies the remaining coins.  Both forms run the same coin step
-(`_coin_step`), so finishing a walk from its state after a prefix of its
-coins gives the same bits as evolving it from the origin; `exact_average`
-uses the amplitude-state start for its last step with each support coin,
-on its factor's columns or on two states that carry the site blocks of
-its averaged density matrix.
+applies the remaining coins with the same step, so finishing a walk from
+its state after a prefix of its coins gives the same bits as evolving it
+from the origin.  `exact_average` uses both: the origin start for a
+one-coin ensemble, whose average is its walk, and the amplitude-state
+start for its last step with each support coin, on two states that carry
+the site blocks of its averaged density matrix.
 """
 
 from __future__ import annotations
@@ -77,24 +77,6 @@ def evolve(initial: QubitState, coins: Sequence[Coin]) -> WalkRun:
 WORKSET = 1 << 20
 
 
-def _coin_step(a, b, c, d, l, r, l_out, r_out, t) -> None:
-    """One walk step on site-major amplitude arrays, in six ufunc calls.
-
-    Writes the right-moving part c*l + d*r to `r_out` and the left-moving
-    part a*l + b*r to `l_out` (which may be `l` itself), using `t` as
-    scratch.  The coin entries a, b, c, d are scalars or arrays that
-    broadcast against `l`.  The products keep `step`'s operand order (coin
-    entry first): numpy's complex multiply may fuse a product into a sum,
-    so swapping operands can change the last bit.
-    """
-    np.multiply(c, l, out=r_out)
-    np.multiply(d, r, out=t)
-    np.add(r_out, t, out=r_out)
-    np.multiply(a, l, out=t)
-    np.multiply(b, r, out=l_out)
-    np.add(t, l_out, out=l_out)
-
-
 def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """Occupation probabilities for a block of independent realizations.
 
@@ -109,18 +91,18 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     an object that makes each sub-block's coins when sliced.
 
     Trials are stepped in sub-blocks of `rows` trials, sized from the
-    final width so that the four amplitude buffers fill WORKSET bytes.
-    The buffers are allocated once per call and hold a sub-block
-    site-major, (w0+q, rows): the first w sites of every trial are one
-    contiguous stretch, so each step is one `_coin_step` on contiguous
-    memory.
+    final width so that the four amplitude buffers fill WORKSET bytes, but
+    no fewer than 8 trials and no more than the block has.  The buffers
+    are allocated once per call and hold a sub-block site-major,
+    (w0+q, rows): the first w sites of every trial are one contiguous
+    stretch, so each step is six ufunc calls on contiguous memory.
     """
     if initial.ndim == 2:
         initial = initial[:, np.newaxis, :]
     trials, q = abcd.shape[0], abcd.shape[1]
     w0 = initial.shape[1]
     width = w0 + q
-    rows = max(8, min(trials, WORKSET // (64 * width)))
+    rows = max(1, min(trials, max(8, WORKSET // (64 * width))))
     amplitudes = np.empty((4, width * rows), dtype=np.complex128)
     coin_buffer = np.empty(q * 4 * rows, dtype=abcd.dtype)
     square_buffer = np.empty(width * rows)
@@ -141,8 +123,17 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
             r_next[0] = 0
             a, b, c, d = coins[j]
             w = w0 + j
-            lw = l[:w]
-            _coin_step(a, b, c, d, lw, r[:w], lw, r_next[1 : w + 1], t[:w])
+            lw, rw, tw, r_out = l[:w], r[:w], t[:w], r_next[1 : w + 1]
+            # The right-moving part c*l + d*r goes to r_next, the left-moving
+            # part a*l + b*r back to l.  The products keep `step`'s operand
+            # order (coin entry first): numpy's complex multiply may fuse a
+            # product into a sum, so swapping operands can change the last bit.
+            np.multiply(c, lw, out=r_out)
+            np.multiply(d, rw, out=tw)
+            np.add(r_out, tw, out=r_out)
+            np.multiply(a, lw, out=tw)
+            np.multiply(b, rw, out=lw)
+            np.add(tw, lw, out=lw)
             r, r_next = r_next, r
         # Sum the squares site-major, then write the rows out in one copy.
         out = square_buffer[: width * m].reshape(width, m)

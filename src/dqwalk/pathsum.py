@@ -25,11 +25,10 @@ basis and never read.
 `exact_average` turns a finite-support coin ensemble into the exactly
 weighted ensemble average of the walk, and `binomial_law` gives the
 classical symmetric random walk mass the averaged disordered walk
-collapses to.  The average over all s^n coin sequences is carried as a
-factor of the averaged density matrix while the factor has no more
-columns than rows, and then as the dense matrix, stepped by the
-coin-averaged channel, so it costs O(n^3) time and O(n^2) memory
-instead of s^n walks.
+collapses to.  The average over all s^n coin sequences is carried as the
+averaged density matrix from the first step, stepped by the coin-averaged
+channel, so it costs O(n^3) time and O(n^2) memory instead of s^n walks;
+a one-coin ensemble's average is its walk.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Coin, Distribution, QubitState, WalkState
-from .engine import _check_block_norms, _coin_step, _evolve_block
+from .engine import _check_block_norms, _evolve_block
 from .ensembles import CoinEnsemble, InitialStateRule
 
 BASIS_LABELS = ("P", "Q", "R", "S")
@@ -203,22 +202,22 @@ class EnumerationInfeasibleError(RuntimeError):
 
 
 def _channel_states(
-    factor: np.ndarray, entry_rows: np.ndarray, weights: list, n: int
+    phi: QubitState, entry_rows: np.ndarray, weights: list, n: int
 ) -> np.ndarray:
     """The averaged state after n-1 steps as two amplitude "trials".
 
-    `factor` (2, w, r) is the factor of the averaged density matrix after
-    w-1 steps.  rho = V V^H is formed once, summed over V's columns in
-    column order, and carried as four (site, site) blocks rho_cd, c and d
-    in (l, r), in two (2, 2, n, n) buffers that swap each step.  A step is
+    The averaged density matrix starts as the 2x2 block phi phi^H at the
+    origin and is carried as four (site, site) blocks rho_cd, c and d in
+    (l, r), in two (2, 2, n, n) buffers that swap each step.  A step is
     the coin-averaged channel
 
         rho'_ab(i + delta_a, j + delta_b) = sum_cd T[a,b,c,d] rho_cd(i, j)
 
     with delta_l = 0, delta_r = 1 and T[a,b,c,d] = sum_k w_k U_k[a,c]
-    conj(U_k[b,d]) summed in support order; the (c, d) terms are taken in
-    the order ll, lr, rl, rr with the T entry as the first multiply
-    operand, and every cell a step does not write is zeroed.
+    conj(U_k[b,d]) summed in support order.  The ll, lr and rr blocks are
+    computed, their (c, d) terms taken in the order ll, lr, rl, rr with the
+    T entry as the first multiply operand and every cell a step does not
+    write zeroed; rl is the conjugate transpose of lr, as rho is Hermitian.
 
     The last step's site probabilities read only each site's 2x2 block
     [[p, z], [conj(z), q]] of rho, which is v1 v1^H + v2 v2^H for
@@ -226,36 +225,29 @@ def _channel_states(
     or v1 = 0 and v2 = (0, sqrt(q)) where p <= 0.  Returns them as (2, n, 2)
     amplitude states, v1 at every site in trial 0 and v2 in trial 1.
     """
-    _, width, cols = factor.shape
     channel = np.zeros((2, 2, 2, 2), dtype=np.complex128)
     for row, w in zip(entry_rows, weights):
         u = row.reshape(2, 2)
         channel += w * (u[:, np.newaxis, :, np.newaxis] * u.conj()[np.newaxis, :, np.newaxis, :])
     rho, new = np.empty((2, 2, 2, n, n), dtype=np.complex128)
-    term = np.empty((2, 2, width, width), dtype=np.complex128)
-    window = rho[:, :, :width, :width]
-    window[...] = 0
-    for col in range(cols):
-        v = factor[:, :, col]
-        np.multiply(
-            v[:, np.newaxis, :, np.newaxis], v.conj()[np.newaxis, :, np.newaxis, :], out=term
-        )
-        np.add(window, term, out=window)
+    v = np.array([phi.alpha, phi.beta], dtype=np.complex128)
+    np.multiply(v[:, np.newaxis], v.conj(), out=rho[:, :, 0, 0])
     scratch = np.empty(n * n, dtype=np.complex128)
-    for width in range(width, n):
+    for width in range(1, n):
         src = rho[:, :, :width, :width]
         t = scratch[: width * width].reshape(width, width)
-        for a in (0, 1):
-            for b in (0, 1):
-                out = new[a, b, : width + 1, : width + 1]
-                out[width * (1 - a)] = 0
-                out[:, width * (1 - b)] = 0
-                dst = out[a : a + width, b : b + width]
-                coeffs = channel[a, b]
-                np.multiply(coeffs[0, 0], src[0, 0], out=dst)
-                for c, d in ((0, 1), (1, 0), (1, 1)):
-                    np.multiply(coeffs[c, d], src[c, d], out=t)
-                    np.add(dst, t, out=dst)
+        window = new[:, :, : width + 1, : width + 1]
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            out = window[a, b]
+            out[width * (1 - a)] = 0
+            out[:, width * (1 - b)] = 0
+            dst = out[a : a + width, b : b + width]
+            coeffs = channel[a, b]
+            np.multiply(coeffs[0, 0], src[0, 0], out=dst)
+            for c, d in ((0, 1), (1, 0), (1, 1)):
+                np.multiply(coeffs[c, d], src[c, d], out=t)
+                np.add(dst, t, out=dst)
+        np.conjugate(window[0, 1].T, out=window[1, 0])
         rho, new = new, rho
     sites = np.arange(n)
     p = rho[0, 0, sites, sites].real
@@ -283,21 +275,15 @@ def exact_average(
     finite-support ensemble is the site diagonal of the averaged density
     matrix rho_L = sum_k w_k U_k rho_{L-1} U_k^H, where U_k steps the walk
     with support coin k of weight w_k (Brun, Carteret and Ambainis, PRA
-    67, 032304, 2003).  After L steps rho_L acts on the 2(L+1) amplitudes
-    of the walk.  It is first carried as a factor V with rho_L = V V^H, of
-    shape (2, L+1, r) like the amplitudes of r walks: each step moves V's
-    columns with every support coin k into block k of the next factor,
-    scaled by sqrt(w_k) unless w_k == 1, so the factor has s*r columns.
-    At the first step where these would exceed 2(L+1), the rows, rho is
-    formed from V once and the remaining steps but the last apply the
-    dense channel to it (`_channel_states`), O(n^2) per step and memory.
-    The last step is one block-kernel call per support coin on V's
-    columns, or on the two states that carry rho's site blocks, and the
-    states' site probabilities, summed and weighted by w_k, are the
-    average.
+    67, 032304, 2003).  For two or more support coins, `_channel_states`
+    applies this coin-averaged channel to rho_0 = phi phi^H for the first
+    n-1 steps, O(n^2) per step and memory, and returns two states that
+    carry rho's site blocks.  The last step is one block-kernel call per
+    support coin on those states, and their site probabilities, summed
+    and weighted by w_k, are the average.
 
-    A one-coin ensemble keeps a single column and never switches, so its
-    average has the bits of the walk evolved alone.
+    A one-coin ensemble's average is its walk: one kernel call evolves
+    phi from the origin through all n coins, with the walk's own bits.
 
     Raises
     ------
@@ -322,25 +308,13 @@ def exact_average(
     )
     weights = [w for _, w in ensemble.finite_support]
     phi = init_rule.draw()
-    factor = np.array([phi.alpha, phi.beta], dtype=np.complex128).reshape(2, 1, 1)
-    level = 1
-    while level < n and len(entry_rows) * factor.shape[2] <= 2 * (level + 1):
-        cols = factor.shape[2]
-        new = np.empty((2, level + 1, len(entry_rows) * cols), dtype=np.complex128)
-        new[0, level] = 0
-        new[1, 0] = 0
-        t = np.empty((level, cols), dtype=np.complex128)
-        for coin, ((a, b, c, d), w) in enumerate(zip(entry_rows, weights)):
-            block = new[:, :, coin * cols : (coin + 1) * cols]
-            _coin_step(a, b, c, d, factor[0], factor[1], block[0, :level], block[1, 1:], t)
-            if w != 1:
-                block *= math.sqrt(w)
-        factor = new
-        level += 1
-    states = factor.T if level == n else _channel_states(factor, entry_rows, weights, n)
+    if len(entry_rows) == 1:
+        states, steps = np.array([[phi.alpha, phi.beta]], dtype=np.complex128), n
+    else:
+        states, steps = _channel_states(phi, entry_rows, weights, n), 1
     total = np.zeros(n + 1)
     for row, w in zip(entry_rows, weights):
-        probs = _evolve_block(np.broadcast_to(row, (len(states), 1, 4)), states).sum(axis=0)
+        probs = _evolve_block(np.broadcast_to(row, (len(states), steps, 4)), states).sum(axis=0)
         total += probs if w == 1 else w * probs
     _check_block_norms(total[np.newaxis], n)
     return Distribution(n, total)

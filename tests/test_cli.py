@@ -141,7 +141,8 @@ class TestExactCommand:
     @pytest.mark.parametrize("n", [17, 52, 60, 70])
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, n):
         # LAPACK's QR under numpy's OpenBLAS gave other bits under two
-        # threads at n = 52 and from n = 66 on; the factor needs neither.
+        # threads at n = 52 and from n = 66 on; the channel runs in numpy
+        # ufuncs only and needs no BLAS or LAPACK routine.
         documents = []
         for threads in ("1", "2"):
             out = tmp_path / f"exact-{threads}.json"

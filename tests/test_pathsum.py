@@ -284,17 +284,19 @@ class TestExactAverage:
         assert np.max(np.abs(dist.probs - expected)) <= 1e-14
 
     @pytest.mark.parametrize("phi", [(1, 0), (0, 1), (0.6, 0.8j)], ids=str)
-    @pytest.mark.parametrize("s, n", [(2, 9), (3, 6), (4, 5)])
+    @pytest.mark.parametrize(
+        "s, n", [(1, 1), (1, 9), (2, 1), (2, 2), (2, 9), (3, 2), (3, 6), (4, 5)]
+    )
     def test_dense_channel_matches_enumeration(self, monkeypatch, s, n, phi):
-        # Haar supports past the switch from the factor to the dense
-        # channel, which then runs at least 3 steps; the fixed states (1,0)
-        # and (0,1) reach the p = 0 and q = 0 branches of the last step.
-        widths = []
+        # The channel runs once for every multi-coin support, n-1 steps (0
+        # and 1 at n = 1 and 2), and never for one coin; the fixed states
+        # (1,0) and (0,1) reach the p = 0 and q = 0 branches of the last step.
+        calls = []
         channel_states = pathsum._channel_states
 
-        def spy(factor, *args):
-            widths.append(factor.shape[1])
-            return channel_states(factor, *args)
+        def spy(*args):
+            calls.append(args[-1])
+            return channel_states(*args)
 
         monkeypatch.setattr(pathsum, "_channel_states", spy)
         rng = np.random.default_rng(100 * s + n)
@@ -304,7 +306,7 @@ class TestExactAverage:
         ensemble = CoinEnsemble(name="mixture", draw_parameters=None, finite_support=support)
         phi = QubitState(*phi)
         dist = exact_average(ensemble, make_initial_state(phi), n)
-        assert len(widths) == 1 and n - widths[0] >= 3
+        assert calls == ([] if s == 1 else [n])
         expected = whole_sequence_average(support, phi, n)
         assert np.max(np.abs(dist.probs - expected)) <= 1e-14
 
@@ -330,23 +332,28 @@ class TestExactAverage:
         assert np.array_equal(dist.probs, evolve(phi, [coin] * n).distribution().probs)
 
     @staticmethod
-    def traced_peak(n):
+    def traced_peak(n, ensemble=make_ribeiro_two_point(0.7854)):
         tracemalloc.start()
         try:
-            exact_average(make_ribeiro_two_point(0.7854), make_initial_state("caseI"), n)
+            exact_average(ensemble, make_initial_state("caseI"), n)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_memory_stays_below_a_per_sequence_coin_array(self):
         # The 2^17 sequences need no (chunk, n, 4) coin array (17.8 MB per
-        # 16384 sequences at n=17): the factor holds at most 2(L+1) columns
-        # after L steps, and the dense channel two (2, 2, n, n) buffers.
+        # 16384 sequences at n=17): the channel holds two (2, 2, n, n)
+        # buffers and the last step two states per site.
         assert self.traced_peak(17) <= 2**20
 
     def test_memory_at_n100(self):
         # The dense channel's two (2, 2, 100, 100) buffers are 1.3 MB.
         assert self.traced_peak(100) <= 4 * 2**20
+
+    def test_one_coin_memory_is_linear(self):
+        # A one-coin average is one walk: O(n) kernel buffers for a single
+        # trial and no (2, 2, n, n) channel buffers (256 MB each at n=2000).
+        assert self.traced_peak(2000, make_fixed()) <= 512 * 2**10
 
     def test_threads_keep_bits(self):
         # Every average owns its buffers: concurrent averages with a short

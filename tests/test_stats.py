@@ -199,7 +199,7 @@ def eager_mc_block(ensemble, init_rule, n, master_seed, start, count):
 
 def kernel_rows(n: int, trials: int) -> int:
     """Trials per sub-block of `_evolve_block` over n coins (final width n+1)."""
-    return max(8, min(trials, WORKSET // (64 * (n + 1))))
+    return max(1, min(trials, max(8, WORKSET // (64 * (n + 1)))))
 
 
 def coin_source(ensemble: CoinEnsemble):

@@ -23,9 +23,11 @@ The grid:
 * `moments` of shapira at 20000 draws, past the 16384 coins from which
   numpy elides temporaries, and of ribeiro_uniform at 1100000 draws,
   past 2^20;
-* `exact` for fixed_hadamard in JSON and CSV, and for ribeiro_two_point
-  x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 40 and 100, 0.6,0.8j
-  at n = 60 and the default initial state at n = 24;
+* `exact` for fixed_hadamard in JSON and CSV at n = 12 and in JSON at
+  n = 2000 (the one-coin walk at large n), and for ribeiro_two_point
+  x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 1 and 2 (0 and 1
+  channel steps), 40 and 100, 0.6,0.8j at n = 60 and the default initial
+  state at n = 24;
 * `run` in CSV, and `variance --walker classical|hadamard`;
 * runs that take inputs from a `--config` file and from `DQW_SEED`;
 * the documented error exits: unknown ensemble, missing `n` or `trials`,
@@ -111,7 +113,9 @@ def grid() -> dict[str, tuple[str, ...]]:
                 "exact", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
                 "--init", init, "--n", n,
             )
-    for init, n in (("caseI", "40"), ("caseI", "100"), ("0.6,0.8j", "60")):
+    for init, n in (
+        ("caseI", "1"), ("caseI", "2"), ("caseI", "40"), ("caseI", "100"), ("0.6,0.8j", "60"),
+    ):
         cases[f"exact-ribeiro_two_point-{init}-n{n}"] = (
             "exact", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
             "--init", init, "--n", n,
@@ -120,6 +124,7 @@ def grid() -> dict[str, tuple[str, ...]]:
     cases.update({
         "exact-fixed_hadamard": exact,
         "exact-fixed_hadamard-csv": (*exact, "--format", "csv"),
+        "exact-fixed_hadamard-n2000": (*exact[:-1], "2000"),
         "run-csv": ("run", "--ensemble", "mackay_uniform", "--init", "caseII", "--n", "9",
                     "--format", "csv"),
         "variance-classical": ("variance", "--walker", "classical", "--n", "10..100:10"),
