@@ -1,10 +1,13 @@
 """Disordered discrete-time quantum walks on the integer line.
 
 A disordered walk redraws its 2x2 unitary coin independently at every
-time step.  When the coin ensemble is balanced (E|a|^2 = E|b|^2 = 1/2)
-with vanishing cross moment E(a conj c) = 0, and the initial chirality
-state is balanced as well, the ensemble-averaged position distribution
-is exactly the classical symmetric random walk's binomial law.  This
+time step.  When the coin ensemble's row moment E(a conj b) vanishes,
+the averaged chirality populations form a classical persistent walk that
+keeps its direction with probability E|a|^2; for balanced coins
+(E|a|^2 = E|b|^2 = 1/2) the ensemble-averaged position distribution is
+then exactly the symmetric random walk's binomial law, for every initial
+chirality state.  The moment audit flags the column moment E(a conj c),
+which vanishes together with the row moment in every catalog ensemble.  This
 package verifies that collapse three independent ways: exact averages
 over finite-support ensembles, which step the averaged density matrix
 by the coin-averaged channel from the first step, a path-sum

@@ -53,15 +53,6 @@ from .stats import (
 )
 from .streams import COIN_STREAM, INIT_STREAM, substream
 
-ENSEMBLE_NAMES = (
-    "ribeiro_uniform",
-    "ribeiro_two_point",
-    "mackay_uniform",
-    "shapira",
-    "fixed_hadamard",
-)
-
-
 def _convert(key: str, convert, value):
     """`convert(value)`, raising ValueError for a value of the wrong type or range."""
     try:
@@ -83,6 +74,18 @@ def _integer(key: str, value) -> int:
     return value
 
 
+#: Catalog builders by config name, with the numeric parameters each takes.
+_BUILDERS = {
+    "ribeiro_uniform": (make_ribeiro_uniform, ()),
+    "ribeiro_two_point": (make_ribeiro_two_point, ("xi",)),
+    "mackay_uniform": (make_mackay, ()),
+    "shapira": (make_shapira, ("sigma",)),
+    "fixed_hadamard": (make_fixed, ()),
+}
+
+ENSEMBLE_NAMES = tuple(_BUILDERS)
+
+
 def ensemble_from_config(name: str, params: dict) -> CoinEnsemble:
     """Instantiate a catalog ensemble from its config name and parameters."""
     params = dict(params)
@@ -90,47 +93,16 @@ def ensemble_from_config(name: str, params: dict) -> CoinEnsemble:
     def number(key: str) -> float:
         return _convert(key, float, params.pop(key))
 
-    builders = {
-        "ribeiro_uniform": make_ribeiro_uniform,
-        "ribeiro_two_point": lambda: make_ribeiro_two_point(number("xi")),
-        "mackay_uniform": make_mackay,
-        "shapira": lambda: make_shapira(number("sigma")),
-        "fixed_hadamard": make_fixed,
-    }
     if name not in ENSEMBLE_NAMES:
         raise ValueError(f"unknown ensemble {name!r}; choose one of {', '.join(ENSEMBLE_NAMES)}")
+    build, keys = _BUILDERS[name]
     try:
-        ensemble = builders[name]()
+        ensemble = build(*map(number, keys))
     except KeyError as exc:
         raise ValueError(f"ensemble {name} needs parameter {exc.args[0]}") from None
     if params:
         raise ValueError(f"unexpected parameters for {name}: {sorted(params)}")
     return ensemble
-
-
-def parse_init_spec(spec) -> InitialStateRule:
-    """Initial state from 'caseI', 'caseII', 'alpha,beta', or [[re,im],[re,im]]."""
-    if isinstance(spec, str):
-        parts = spec.split(",")
-        if len(parts) != 2:
-            try:
-                return make_initial_state(spec)
-            except ValueError:
-                raise ValueError(f"fixed initial state must be 'alpha,beta', got {spec!r}") from None
-        try:
-            alpha, beta = complex(parts[0]), complex(parts[1])
-        except ValueError:
-            raise ValueError(f"cannot parse initial state {spec!r}") from None
-        return make_initial_state((alpha, beta))
-    if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        pair = []
-        for item in spec:
-            if isinstance(item, (list, tuple)) and len(item) == 2:
-                pair.append(complex(float(item[0]), float(item[1])))
-            else:
-                pair.append(complex(item))
-        return make_initial_state(tuple(pair))
-    raise ValueError(f"cannot interpret initial-state spec {spec!r}")
 
 
 def parse_n_list(text: str) -> list[int]:
@@ -212,7 +184,7 @@ class _Inputs:
         return ensemble
 
     def init(self) -> InitialStateRule:
-        rule = _convert("init", parse_init_spec, self.pick("init", "caseI"))
+        rule = _convert("init", make_initial_state, self.pick("init", "caseI"))
         self.record("init", rule.config())
         return rule
 
@@ -351,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xi", type=float, help="angle parameter of ribeiro_two_point (radians)")
         p.add_argument("--sigma", type=float, help="kick width of the shapira ensemble")
         if with_init:
-            p.add_argument("--init", help="caseI, caseII, or 'alpha,beta' complex literals")
+            p.add_argument("--init", help="caseI, caseII, or 'alpha,beta' as Python complex "
+                           "literals; the forms of dqwalk.make_initial_state")
         if with_n:
             p.add_argument("--n", help="number of steps")
         p.add_argument("--seed", type=int, help="master seed (overrides DQW_SEED and config)")

@@ -2,15 +2,22 @@
 
 An ensemble is a named sampler of 2x2 unitary coins together with its
 moment properties.  The disordered walk redraws the coin independently at
-every time step; when the ensemble satisfies the two moment conditions
+every time step.  When the row moment vanishes,
+
+    E(a conj(b)) = 0               (row-moment cancellation)
+
+the averaged chirality populations close into a classical persistent walk
+that keeps its direction with probability p = E|a|^2 (Renshaw and
+Henderson, J. Appl. Prob. 18, 403, 1981), and under
 
     E|a|^2 = E|b|^2 = 1/2          (balance)
-    E(a conj(c)) = 0               (cross-moment cancellation)
 
-and the initial chirality state is balanced as well, the ensemble-averaged
-position distribution collapses to the classical symmetric random walk.
-`audit_moments` estimates the six relevant moments and flags both
-conditions.
+that walk is binomial: the ensemble-averaged position distribution
+collapses to the classical symmetric random walk for every initial
+chirality state.  `audit_moments` estimates six moments and flags balance
+and the column moment E(a conj(c)) = 0 (the cross-moment condition); the
+row and column moments vanish together in every catalog ensemble, but
+not for every ensemble.
 
 Catalog
 -------
@@ -76,8 +83,11 @@ class UniformDraw:
 class DeclaredMoments:
     """Closed-form moment values an ensemble declares about itself.
 
-    `None` marks a moment with no known closed form (it can still be
-    estimated by `audit_moments`).
+    `a_conj_c` is the column moment E(a conj(c)) that `audit_moments`
+    flags; the collapse to the binomial law is decided by the row moment
+    E(a conj(b)) with balance, and the two vanish together in every
+    catalog ensemble.  `None` marks a moment with no known closed form (it
+    can still be estimated by `audit_moments`).
     """
 
     abs_a_sq: Optional[float]
@@ -367,9 +377,14 @@ class MomentReport:
     `estimates` holds E|a|^2, E|b|^2, E|c|^2, E|d|^2, E(a conj c),
     E(b conj d); for a complex moment the standard error combines the real
     and imaginary component variances.  `eq_balance` flags
-    E|a|^2 = E|b|^2 = 1/2 and `eq_cross` flags E(a conj c) = 0, each as
-    satisfied (inside 4 standard errors, or within 1e-12 when exact),
-    violated (outside), or inconclusive (sample too small for the band).
+    E|a|^2 = E|b|^2 = 1/2 and `eq_cross` flags the column moment
+    E(a conj c) = 0, each as satisfied (inside 4 standard errors, or
+    within 1e-12 when exact), violated (outside), or inconclusive (sample
+    too small for the band).  The collapse to the binomial law needs
+    balance and the row moment E(a conj b) = 0, which this report does not
+    estimate: `eq_cross` stands for it where the two moments vanish
+    together, as in every catalog ensemble, and a satisfied `eq_cross`
+    alone does not imply the collapse.
     """
 
     ensemble: str
@@ -571,17 +586,37 @@ class InitialStateRule:
         ]
 
 
+def _complex_entry(item) -> complex:
+    """A number, a complex literal, or an [re, im] pair as config files write it."""
+    if isinstance(item, (list, tuple)) and len(item) == 2:
+        return complex(float(item[0]), float(item[1]))
+    return complex(item)
+
+
 def make_initial_state(rule_spec) -> InitialStateRule:
-    """Build an initial-state rule from a short specification.
+    """Build an initial-state rule from a specification.
 
-    Accepted forms:
+    This is the one parser of initial states: the CLI's `--init` flag and
+    the `init` key of a config file pass their values here unchanged, so
+    the library and the CLI accept the same forms:
 
-    * ``"caseI"``: the fixed balanced state (1, i)/sqrt 2.
-    * ``"caseII"``: random (cos t, sin t) with t uniform on [0, 2pi),
-      which has E|alpha|^2 = 1/2 and E(alpha conj beta) = 0.
-    * ``(alpha, beta)`` or a `QubitState`: a fixed custom state; must be
-      unit norm.
+    * ``"caseI"`` (or ``"case_i"``, ``"caseI_default"``; any case): the
+      fixed balanced state (1, i)/sqrt 2.
+    * ``"caseII"`` (or ``"case_ii"``, ``"caseII_uniform_phase"``): random
+      (cos t, sin t) with t uniform on [0, 2pi), which has E|alpha|^2 = 1/2
+      and E(alpha conj beta) = 0.
+    * a `QubitState`, or a fixed custom state written as a pair
+      ``(alpha, beta)``, as the text ``"alpha,beta"`` or as a list.  Each
+      entry is a number, a Python complex literal (``0.8j``, as text or a
+      `complex`) or an ``[re, im]`` pair, as `InitialStateRule.config`
+      writes it, so ``make_initial_state(rule.config())`` rebuilds
+      `rule`'s state bit for bit.  The state must have unit norm.
+
+    Raises ValueError for any other specification, and TypeError for a
+    pair whose entries are of no numeric type.
     """
+    if isinstance(rule_spec, QubitState):
+        return InitialStateRule(kind="fixed", case_label="none", state=rule_spec)
     if isinstance(rule_spec, str):
         key = rule_spec.strip().lower()
         if key in ("casei", "casei_default", "case_i"):
@@ -592,13 +627,15 @@ def make_initial_state(rule_spec) -> InitialStateRule:
                 case_label="case_ii",
                 draw_parameters=UniformDraw(_uniform_phase_states),
             )
-        raise ValueError(f"unknown initial-state rule {rule_spec!r}")
-    if isinstance(rule_spec, QubitState):
-        return InitialStateRule(kind="fixed", case_label="none", state=rule_spec)
-    try:
-        alpha, beta = rule_spec
-    except (TypeError, ValueError):
-        raise ValueError(f"cannot interpret initial-state rule {rule_spec!r}") from None
-    return InitialStateRule(
-        kind="fixed", case_label="none", state=QubitState(complex(alpha), complex(beta))
-    )
+        parts = rule_spec.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"fixed initial state must be 'alpha,beta', got {rule_spec!r}")
+        try:
+            alpha, beta = complex(parts[0]), complex(parts[1])
+        except ValueError:
+            raise ValueError(f"cannot parse initial state {rule_spec!r}") from None
+    elif isinstance(rule_spec, (list, tuple)) and len(rule_spec) == 2:
+        alpha, beta = map(_complex_entry, rule_spec)
+    else:
+        raise ValueError(f"cannot interpret initial-state spec {rule_spec!r}")
+    return InitialStateRule(kind="fixed", case_label="none", state=QubitState(alpha, beta))

@@ -33,7 +33,6 @@ a one-coin ensemble's average is its walk.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,19 +65,6 @@ _APPLY = {
     ]
     for left in ("P", "Q")
 }
-
-
-def product_table(left: str, coin: Coin, right: str) -> tuple[complex, str]:
-    """Left-multiply basis element `right` by `left` of `coin`.
-
-    Returns the scalar (an entry of `coin`) and the resulting basis label,
-    e.g. ``product_table("P", w, "Q") == (w.b, "R")``.
-    """
-    try:
-        entry, result = _PRODUCT[(left, right)]
-    except KeyError:
-        raise ValueError(f"basis labels must be in {BASIS_LABELS}, got {(left, right)!r}") from None
-    return getattr(coin, entry), result
 
 
 @dataclass(frozen=True)
@@ -163,38 +149,6 @@ def reconstruct_state(pc: PathCoefficients, first_coin: Coin, phi: QubitState) -
     psi_l = (p * a1 + r * c1) * phi.alpha + (p * b1 + r * d1) * phi.beta
     psi_r = (q * c1 + s * a1) * phi.alpha + (q * d1 + s * b1) * phi.beta
     return WalkState(pc.n, psi_l, psi_r)
-
-
-def term_count(n: int, k: int) -> int:
-    """Number of n-step paths from the origin to site k: C(n, (n+k)/2)."""
-    if (n + k) % 2 != 0 or abs(k) > n:
-        raise ValueError(f"site {k} is outside the parity support at n={n}")
-    return math.comb(n, (n + k) // 2)
-
-
-def symbolic_monomials(n: int) -> dict[int, dict[str, set[tuple]]]:
-    """Enumerate every path's formal coefficient monomial, for small n.
-
-    Each of the 2^n move sequences reduces through the product table to
-    one monomial, a tuple of (coin entry name, step index) factors for
-    steps 2..n, attached to a single basis label.  Returns
-    {site: {label: set of monomials}}; the total number of monomials at a
-    site equals `term_count`.  This is a test oracle, capped at n <= 10.
-    """
-    if not 1 <= n <= 10:
-        raise ValueError(f"symbolic enumeration is limited to 1 <= n <= 10, got {n}")
-    result: dict[int, dict[str, set[tuple]]] = {}
-    for moves in itertools.product((-1, +1), repeat=n):
-        label = "P" if moves[0] < 0 else "Q"
-        factors = []
-        for step_index in range(2, n + 1):
-            left = "P" if moves[step_index - 1] < 0 else "Q"
-            entry, label = _PRODUCT[(left, label)]
-            factors.append((entry, step_index))
-        site = sum(moves)
-        result.setdefault(site, {lab: set() for lab in BASIS_LABELS})
-        result[site][label].add(tuple(factors))
-    return result
 
 
 class EnumerationInfeasibleError(RuntimeError):

@@ -379,6 +379,30 @@ class TestMalformedConfig:
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("dqwalk: ")
 
+    @pytest.mark.parametrize(
+        "init, message",
+        [
+            ("caseIII", "fixed initial state must be 'alpha,beta', got 'caseIII'"),
+            ("1,x", "cannot parse initial state '1,x'"),
+            (5, "cannot interpret initial-state spec 5"),
+            ([None, 1], "malformed init: [None, 1]"),
+        ],
+        ids=repr,
+    )
+    def test_init_error_messages(self, init, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 3, "init": init}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"dqwalk: {message}\n"
+
+    @pytest.mark.parametrize("init", [[[0.6, 0], [0, 0.8]], ["0.6", "0.8j"]], ids=repr)
+    def test_init_pairs_match_the_flag(self, init, tmp_path):
+        path, by_file, by_flag = tmp_path / "config.json", tmp_path / "a", tmp_path / "b"
+        path.write_text(json.dumps({"n": 3, "init": init}))
+        assert main(["run", "--config", str(path), "--out", str(by_file)]) == 0
+        assert main(["run", "--n", "3", "--init", "0.6,0.8j", "--out", str(by_flag)]) == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
     def test_workers_never_recorded(self, tmp_path):
         out = tmp_path / "avg.json"
         assert main(["average", "--n", "3", "--trials", "10", "--audit-draws", "100",

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dqwalk
 from dqwalk import (
@@ -19,6 +21,7 @@ from dqwalk import (
     HADAMARD,
     CoinEnsemble,
     InitialStateRule,
+    QubitState,
     audit_moments,
     make_fixed,
     make_initial_state,
@@ -399,6 +402,56 @@ class TestInitialStates:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             make_initial_state("caseIII")
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["0.6,0.8j", " 0.6 , 0.8j ", [[0.6, 0], [0, 0.8]], ["0.6", "0.8j"], (0.6, 0.8j),
+         [0.6, [0, 0.8]], QubitState(0.6, 0.8j)],
+        ids=repr,
+    )
+    def test_every_fixed_spelling(self, spec):
+        # The CLI's text and every pair a config file can hold.
+        rule = make_initial_state(spec)
+        assert (rule.kind, rule.case_label) == ("fixed", "none")
+        assert rule.draw() == QubitState(0.6, 0.8j)
+
+    @given(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
+    def test_config_round_trip_keeps_the_state_bits(self, t, u, v):
+        rule = make_initial_state((math.cos(t) * complex(math.cos(u), math.sin(u)),
+                                   math.sin(t) * complex(math.cos(v), math.sin(v))))
+        again = make_initial_state(json.loads(json.dumps(rule.config())))
+        bits = [np.array([s.alpha, s.beta]).view(np.uint64) for s in (rule.draw(), again.draw())]
+        assert np.array_equal(*bits)
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [("caseI", "caseI"), ("CASEI", "caseI"), (" case_i ", "caseI"), ("caseI_default", "caseI"),
+         ("caseII", "caseII"), ("case_ii", "caseII"), ("caseII_uniform_phase", "caseII")],
+    )
+    def test_case_aliases_round_trip(self, spec, name):
+        rule = make_initial_state(spec)
+        assert rule.config() == name
+        again = make_initial_state(name)
+        assert (again.kind, again.case_label) == (rule.kind, rule.case_label)
+        assert np.array_equal(again.draw_batch(substream(3), 8), rule.draw_batch(substream(3), 8))
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("caseIII", "fixed initial state must be 'alpha,beta', got 'caseIII'"),
+            ("1,2,3", "fixed initial state must be 'alpha,beta', got '1,2,3'"),
+            ("1,x", "cannot parse initial state '1,x'"),
+            (5, "cannot interpret initial-state spec 5"),
+            ([1, 0, 0], "cannot interpret initial-state spec [1, 0, 0]"),
+            ({"alpha": 1, "beta": 0}, "cannot interpret initial-state spec {'alpha': 1, 'beta': 0}"),
+            (None, "cannot interpret initial-state spec None"),
+        ],
+        ids=repr,
+    )
+    def test_malformed_spec_messages(self, spec, message):
+        with pytest.raises(ValueError) as info:
+            make_initial_state(spec)
+        assert str(info.value) == message
 
     def test_random_rule_requires_generator(self):
         with pytest.raises(ValueError):

@@ -17,9 +17,11 @@ from conftest import _draw_haar, haar_coins, make_haar
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
+    Coin,
     CoinEnsemble,
     EnumerationInfeasibleError,
     QubitState,
+    audit_moments,
     binomial_distribution,
     binomial_law,
     coefficients,
@@ -34,8 +36,53 @@ from dqwalk import (
     tv_distance,
 )
 from dqwalk import pathsum
-from dqwalk.pathsum import BASIS_LABELS, product_table, symbolic_monomials, term_count
+from dqwalk.pathsum import _PRODUCT, BASIS_LABELS
 from dqwalk.engine import _evolve_block
+
+
+def product_table(left: str, coin: Coin, right: str) -> tuple[complex, str]:
+    """Left-multiply basis element `right` by `left` of `coin`.
+
+    Returns the scalar (an entry of `coin`) and the resulting basis label,
+    e.g. ``product_table("P", w, "Q") == (w.b, "R")``.
+    """
+    try:
+        entry, result = _PRODUCT[(left, right)]
+    except KeyError:
+        raise ValueError(f"basis labels must be in {BASIS_LABELS}, got {(left, right)!r}") from None
+    return getattr(coin, entry), result
+
+
+def term_count(n: int, k: int) -> int:
+    """Number of n-step paths from the origin to site k: C(n, (n+k)/2)."""
+    if (n + k) % 2 != 0 or abs(k) > n:
+        raise ValueError(f"site {k} is outside the parity support at n={n}")
+    return math.comb(n, (n + k) // 2)
+
+
+def symbolic_monomials(n: int) -> dict[int, dict[str, set[tuple]]]:
+    """Enumerate every path's formal coefficient monomial, for small n.
+
+    Each of the 2^n move sequences reduces through the product table to
+    one monomial, a tuple of (coin entry name, step index) factors for
+    steps 2..n, attached to a single basis label.  Returns
+    {site: {label: set of monomials}}; the total number of monomials at a
+    site equals `term_count`.  Capped at n <= 10.
+    """
+    if not 1 <= n <= 10:
+        raise ValueError(f"symbolic enumeration is limited to 1 <= n <= 10, got {n}")
+    result: dict[int, dict[str, set[tuple]]] = {}
+    for moves in itertools.product((-1, +1), repeat=n):
+        label = "P" if moves[0] < 0 else "Q"
+        factors = []
+        for step_index in range(2, n + 1):
+            left = "P" if moves[step_index - 1] < 0 else "Q"
+            entry, label = _PRODUCT[(left, label)]
+            factors.append((entry, step_index))
+        site = sum(moves)
+        result.setdefault(site, {lab: set() for lab in BASIS_LABELS})
+        result[site][label].add(tuple(factors))
+    return result
 
 
 def basis_matrices(coin):
@@ -376,3 +423,25 @@ class TestExactAverage:
         # the cross moment does not, and the distance is large
         dist = exact_average(make_fixed(), make_initial_state((1, 0)), 4)
         assert tv_distance(dist, binomial_distribution(4)) > 0.05
+
+    def test_row_moment_decides_the_collapse(self):
+        # The averaged populations form a Markov walk only when the row
+        # moment E(a conj b) vanishes.  Here the audited column moment
+        # E(a conj c) is 0 and the coins are balanced, but E(a conj b) is
+        # (1 - i)/4, and the average is not binomial.
+        r = 1 / math.sqrt(2)
+        support = ((Coin(r, r, -r, r), 0.5), (Coin(r, 1j * r, r, -1j * r), 0.5))
+        ensemble = CoinEnsemble(name="row_moment", draw_parameters=None, finite_support=support)
+        report = audit_moments(ensemble, 1)
+        assert abs(report.estimates["abs_a_sq"] - 0.5) <= 1e-15
+        assert report.estimates["a_conj_c"] == 0
+        assert abs(sum(w * c.a * c.b.conjugate() for c, w in support) - (1 - 1j) / 4) <= 1e-15
+        for n, expected in ((2, [0.125, 0.5, 0.375]), (3, [0.0625, 0.25, 0.5, 0.1875])):
+            dist = exact_average(ensemble, make_initial_state("caseI"), n)
+            assert np.max(np.abs(dist.probs - expected)) <= 1e-15
+            brute = sum(
+                math.prod(w for _, w in seq)
+                * evolve(CASE_I_DEFAULT, [c for c, _ in seq]).distribution().probs
+                for seq in itertools.product(support, repeat=n)
+            )
+            assert np.max(np.abs(dist.probs - brute)) <= 1e-15

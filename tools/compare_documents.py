@@ -29,13 +29,17 @@ The grid:
   channel steps), 40 and 100, 0.6,0.8j at n = 60 and the default initial
   state at n = 24;
 * `run` in CSV, and `variance --walker classical|hadamard`;
-* runs that take inputs from a `--config` file and from `DQW_SEED`;
+* runs that take inputs from a `--config` file and from `DQW_SEED`,
+  among them `run` and `exact` from configs whose `init` is written as a
+  pair of `[re, im]` lists and as a pair of complex literals;
 * the documented error exits: unknown ensemble, missing `n` or `trials`,
   `--workers 0`, `exact` of a continuous ensemble (exit 4) and
-  `coeffs --n 0`, some of them with several errors at once.
+  `coeffs --n 0`, some of them with several errors at once;
+* the initial-state error exits: `--init caseIII`, `--init 1,x` and a
+  config whose `init` is a number.
 
 A case's leading NAME=VALUE arguments are set in its environment, as in a
-shell, and `--config config.json` reads `CONFIG`.
+shell, and `--config NAME` reads `CONFIGS[NAME]`.
 """
 
 from __future__ import annotations
@@ -57,8 +61,21 @@ SEEDS = (0, 7, 2**64 - 1)
 
 INITS = ("caseI", "caseII", "0.6,0.8j")
 
-#: The config file of the `--config config.json` cases.
-CONFIG = {"ensemble": "shapira", "params": {"sigma": 0.3}, "init": "caseII", "n": 12, "seed": 5}
+#: The config files of the `--config` cases, by file name.
+CONFIGS = {
+    "config.json": {
+        "ensemble": "shapira", "params": {"sigma": 0.3}, "init": "caseII", "n": 12, "seed": 5,
+    },
+    "init-pairs.json": {
+        "ensemble": "ribeiro_two_point", "params": {"xi": 0.7854},
+        "init": [[0.6, 0], [0, 0.8]], "n": 14,
+    },
+    "init-literals.json": {
+        "ensemble": "ribeiro_two_point", "params": {"xi": 0.7854},
+        "init": ["0.6", "0.8j"], "n": 14,
+    },
+    "init-number.json": {"init": 5, "n": 4},
+}
 
 ENSEMBLES = {
     "ribeiro_uniform": (),
@@ -133,6 +150,10 @@ def grid() -> dict[str, tuple[str, ...]]:
         "config-run": ("run", "--config", "config.json"),
         "config-average": ("average", "--config", "config.json", "--init", "caseI",
                            "--trials", "3000", "--audit-draws", "1000"),
+        "config-run-init-pairs": ("run", "--config", "init-pairs.json"),
+        "config-exact-init-pairs": ("exact", "--config", "init-pairs.json"),
+        "config-run-init-literals": ("run", "--config", "init-literals.json"),
+        "config-exact-init-literals": ("exact", "--config", "init-literals.json"),
         "env-seed-run": ("DQW_SEED=11", "run", "--ensemble", "mackay_uniform",
                          "--init", "caseII", "--n", "30"),
         "env-seed-coeffs": ("DQW_SEED=11", "coeffs", "--n", "6"),
@@ -149,6 +170,9 @@ def grid() -> dict[str, tuple[str, ...]]:
         "exact-ribeiro_two_point-n24": ("exact", "--ensemble", "ribeiro_two_point",
                                         "--xi", "0.7854", "--n", "24"),
         "error-coeffs-n-0": ("coeffs", "--n", "0"),
+        "error-init-caseIII": ("run", "--init", "caseIII", "--n", "2"),
+        "error-init-unparsable": ("run", "--init", "1,x", "--n", "2"),
+        "error-init-number": ("run", "--config", "init-number.json"),
     })
     return cases
 
@@ -156,10 +180,11 @@ def grid() -> dict[str, tuple[str, ...]]:
 def write_documents(src: Path, out: Path) -> None:
     """Run every case on the package in `src`; write its three files to `out`.
 
-    Cases run in `out`'s parent directory, next to the config file.
+    Cases run in `out`'s parent directory, next to the config files.
     """
     out.mkdir()
-    (out.parent / "config.json").write_text(json.dumps(CONFIG))
+    for name, config in CONFIGS.items():
+        (out.parent / name).write_text(json.dumps(config))
     base_env = {key: value for key, value in os.environ.items() if key != "DQW_SEED"}
     base_env["PYTHONPATH"] = str(src)
     for name, argv in grid().items():
