@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HADAMARD, Coin, NumericalDriftError
-from .engine import evolve, run_realization
+from .core import HADAMARD, Coin, NumericalDriftError, QubitState
+from .engine import draw_realization, evolve, run_realization
 from .ensembles import (
     CoinEnsemble,
     InitialStateRule,
@@ -51,7 +51,7 @@ from .stats import (
     monte_carlo_average,
     variance_scan,
 )
-from .streams import COIN_STREAM, INIT_STREAM, substream
+
 
 def _convert(key: str, convert, value):
     """`convert(value)`, raising ValueError for a value of the wrong type or range."""
@@ -91,7 +91,10 @@ def ensemble_from_config(name: str, params: dict) -> CoinEnsemble:
     params = dict(params)
 
     def number(key: str) -> float:
-        return _convert(key, float, params.pop(key))
+        value = params.pop(key)
+        if isinstance(value, bool):
+            raise ValueError(f"malformed {key}: {value!r}")
+        return _convert(key, float, value)
 
     if name not in ENSEMBLE_NAMES:
         raise ValueError(f"unknown ensemble {name!r}; choose one of {', '.join(ENSEMBLE_NAMES)}")
@@ -254,15 +257,10 @@ def _cmd_coeffs(inputs: _Inputs) -> tuple[dict, list[str] | None]:
     ensemble, init_rule, n = inputs.ensemble(), inputs.init(), inputs.n()
     if n < 1:
         raise ValueError("coeffs needs n >= 1")
-    seed = inputs.seed()
-    rows = ensemble.sample_batch(substream(seed, 0, COIN_STREAM), n)
+    rows, initial = draw_realization(ensemble, init_rule, n, inputs.seed())
     coins = [Coin(*map(complex, row)) for row in rows]
     pc = coefficients(coins, n)
-    phi = (
-        init_rule.draw(substream(seed, 0, INIT_STREAM))
-        if init_rule.kind == "random"
-        else init_rule.draw()
-    )
+    phi = QubitState(*map(complex, initial[0]))
     rebuilt = reconstruct_state(pc, coins[0], phi)
     reference = evolve(phi, coins).final
     residual = float(

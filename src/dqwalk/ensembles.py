@@ -35,10 +35,13 @@ Sampling is deterministic per stream.  Normal variates use numpy's
 bit stream exactly like the same number of single draws, so per-draw
 reproducibility holds no matter how draws are grouped.  Ensembles whose
 draws are a transform of uniforms (`UniformDraw`: ribeiro_uniform,
-ribeiro_two_point, mackay_uniform, fixed coins, whose transform ignores
-the uniforms, and the caseII initial state) define
-only that transform, which lets Monte Carlo blocks draw all their trials'
-uniforms at once (`dqwalk.streams.block_uniforms`).
+mackay_uniform, every finite-support ensemble, and the caseII initial
+state) define only that transform, which lets Monte Carlo blocks draw all
+their trials' uniforms at once (`dqwalk.streams.block_uniforms`).  A
+finite-support ensemble (ribeiro_two_point, fixed coins) is its support:
+its draw is derived from the support coins and weights, so Monte Carlo,
+`audit_moments` and `dqwalk.pathsum.exact_average` average the same coins,
+and giving it a sampler as well raises ValueError.
 """
 
 from __future__ import annotations
@@ -95,6 +98,19 @@ class DeclaredMoments:
     a_conj_c: Optional[complex]
 
 
+def _support_arrays(support: tuple[tuple[Coin, float], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 4) complex (a, b, c, d) rows and (k,) weights of a finite support."""
+    rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in support], dtype=np.complex128)
+    weights = np.array([w for _, w in support], dtype=np.float64)
+    return rows, weights
+
+
+def _support_coins(u: np.ndarray, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # Coin k holds the uniforms in [edges[k-1], edges[k]): u < w_0 picks
+    # coin 0, and an empty interval (a zero weight) is never picked.
+    return rows.take(np.searchsorted(edges, u, side="right"), axis=0)
+
+
 @dataclass(frozen=True)
 class CoinEnsemble:
     """A named, seedable distribution over coins.
@@ -104,26 +120,45 @@ class CoinEnsemble:
     an ensemble (for process workers) only requires `draw_parameters` to
     be a module-level callable or a `functools.partial` of one, which all
     catalog ensembles satisfy.
+
+    A finite ensemble is given by its `finite_support` alone, a tuple of
+    (coin, weight) pairs with weights summing to 1, and its draw is
+    derived from it: a `UniformDraw` that picks coin k when a uniform
+    falls in its cumulative-weight interval.  Construction raises
+    ValueError when both `draw_parameters` and `finite_support` are
+    given, or neither.
     """
 
     name: str
-    draw_parameters: ParameterDraw
+    draw_parameters: ParameterDraw | None = None
     params: tuple[tuple[str, float], ...] = ()
     finite_support: tuple[tuple[Coin, float], ...] | None = None
     declared_moments: DeclaredMoments | None = None
 
     def __post_init__(self) -> None:
-        if self.finite_support is not None:
-            if not self.finite_support:
-                raise ValueError("finite support must hold at least one coin")
-            for _, w in self.finite_support:
-                if not 0.0 <= w < math.inf:
-                    raise ValueError(
-                        f"finite support weights must be finite and nonnegative, got {w!r}"
-                    )
-            weight = sum(w for _, w in self.finite_support)
-            if abs(weight - 1.0) > EPS_UNIT:
-                raise ValueError(f"finite support weights must sum to 1, got {weight!r}")
+        if (self.draw_parameters is None) == (self.finite_support is None):
+            raise ValueError(
+                "an ensemble needs draw_parameters or a finite_support, not both: "
+                "a finite ensemble draws from its support"
+            )
+        if self.finite_support is None:
+            return
+        if not self.finite_support:
+            raise ValueError("finite support must hold at least one coin")
+        for _, w in self.finite_support:
+            if not 0.0 <= w < math.inf:
+                raise ValueError(
+                    f"finite support weights must be finite and nonnegative, got {w!r}"
+                )
+        weight = sum(w for _, w in self.finite_support)
+        if abs(weight - 1.0) > EPS_UNIT:
+            raise ValueError(f"finite support weights must sum to 1, got {weight!r}")
+        rows, weights = _support_arrays(self.finite_support)
+        # Uniforms past the last edge, which rounding of the weights' sum
+        # may leave below 1, go to the last coin of positive weight.
+        last = np.flatnonzero(weights)[-1]
+        draw = UniformDraw(partial(_support_coins, edges=np.cumsum(weights[:last]), rows=rows))
+        object.__setattr__(self, "draw_parameters", draw)
 
     def sample(self, rng: np.random.Generator) -> Coin:
         """One coin; consumes the stream exactly like sample_batch(rng, 1)."""
@@ -165,10 +200,6 @@ def _ribeiro_uniform_coins(u: np.ndarray) -> np.ndarray:
     return _rotation_parameters(_uniform_angle(u))
 
 
-def _ribeiro_two_point_coins(u: np.ndarray, xi: float) -> np.ndarray:
-    return _rotation_parameters(np.where(u < 0.5, xi, xi + 0.5 * math.pi))
-
-
 def rotation_coin(theta: float) -> Coin:
     """The real rotation coin [[cos t, sin t], [sin t, -cos t]]."""
     a, b, c, d = _rotation_parameters(np.array([theta]))[0]
@@ -204,7 +235,6 @@ def make_ribeiro_two_point(xi: float) -> CoinEnsemble:
     )
     return CoinEnsemble(
         name="ribeiro_two_point",
-        draw_parameters=UniformDraw(partial(_ribeiro_two_point_coins, xi=xi)),
         params=(("xi", xi),),
         finite_support=support,
         declared_moments=DeclaredMoments(0.5, 0.5, 0.0 + 0.0j),
@@ -328,28 +358,31 @@ def make_shapira(sigma: float) -> CoinEnsemble:
 
 # --- degenerate ensembles --------------------------------------------------
 
-def _fixed_coins(u: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
-    # The uniforms are ignored: a draw is u.size copies of the one coin.
-    out = np.empty((u.size, 4), dtype=np.complex128)
-    out[:, 0] = a
-    out[:, 1] = b
-    out[:, 2] = c
-    out[:, 3] = d
-    return out
-
-
-def make_fixed(coin: Coin = HADAMARD, name: str = "fixed_hadamard") -> CoinEnsemble:
+def make_fixed(coin: Coin = HADAMARD) -> CoinEnsemble:
     """Single-coin ensemble: the deterministic walk viewed as an ensemble.
 
     The default Hadamard coin is balanced but has cross moment
     a conj(c) = 1/2, making it the canonical counterexample showing that
-    the binomial collapse needs genuine randomness.
+    the binomial collapse needs genuine randomness.  The ensemble is its
+    support, the one coin, and every draw is derived from it (a
+    `CoinEnsemble` given a sampler as well as a support raises
+    ValueError).  The Hadamard coin is named ``fixed_hadamard`` with no
+    parameters; any other coin is named ``fixed`` and records the real
+    and imaginary parts of its four entries as parameters (``a_real``,
+    ``a_imag``, ..., ``d_imag``), so two coins never share a config.
     """
+    if coin == HADAMARD:
+        name, params = "fixed_hadamard", ()
+    else:
+        name = "fixed"
+        params = tuple(
+            (f"{key}_{part}", getattr(getattr(coin, key), part))
+            for key in "abcd"
+            for part in ("real", "imag")
+        )
     return CoinEnsemble(
         name=name,
-        draw_parameters=UniformDraw(
-            partial(_fixed_coins, a=coin.a, b=coin.b, c=coin.c, d=coin.d)
-        ),
+        params=params,
         finite_support=((coin, 1.0),),
         declared_moments=DeclaredMoments(
             abs(coin.a) ** 2, abs(coin.b) ** 2, coin.a * coin.c.conjugate()
@@ -461,8 +494,7 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
         raise ValueError(f"draws must be at least 1, got {draws}")
 
     if ensemble.finite_support is not None:
-        rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in ensemble.finite_support])
-        weights = np.array([w for _, w in ensemble.finite_support])
+        rows, weights = _support_arrays(ensemble.finite_support)
         values = np.empty((len(rows), len(_MOMENT_NAMES)), dtype=np.complex128)
         _fill_moment_values(values, rows)
         means = weights @ values
@@ -576,8 +608,14 @@ class InitialStateRule:
         return np.asarray(self.draw_parameters(rng, size), dtype=np.complex128)
 
     def config(self):
+        """The rule as a config records it: ``"caseI"``, ``"caseII"``, or a
+        fixed state's ``[[re, im], [re, im]]``, all of which
+        `make_initial_state` reads back.  Any other random rule is recorded
+        as ``"custom_random"``, which `make_initial_state` rejects, so its
+        documents and digests are never taken for caseII's.
+        """
         if self.kind == "random":
-            return "caseII"
+            return "caseII" if self.case_label == "case_ii" else "custom_random"
         if self.case_label == "case_i":
             return "caseI"
         return [
@@ -586,11 +624,21 @@ class InitialStateRule:
         ]
 
 
+def _not_boolean(item):
+    # `complex` and `float` would take a boolean as 0 or 1.
+    if isinstance(item, bool):
+        raise TypeError(f"a boolean is not a number: {item!r}")
+    return item
+
+
 def _complex_entry(item) -> complex:
-    """A number, a complex literal, or an [re, im] pair as config files write it."""
+    """A number, a complex literal, or an [re, im] pair as config files write it.
+
+    Raises TypeError for a boolean, here or inside the pair.
+    """
     if isinstance(item, (list, tuple)) and len(item) == 2:
-        return complex(float(item[0]), float(item[1]))
-    return complex(item)
+        return complex(float(_not_boolean(item[0])), float(_not_boolean(item[1])))
+    return complex(_not_boolean(item))
 
 
 def make_initial_state(rule_spec) -> InitialStateRule:
@@ -613,7 +661,7 @@ def make_initial_state(rule_spec) -> InitialStateRule:
       `rule`'s state bit for bit.  The state must have unit norm.
 
     Raises ValueError for any other specification, and TypeError for a
-    pair whose entries are of no numeric type.
+    pair whose entries are of no numeric type or are booleans.
     """
     if isinstance(rule_spec, QubitState):
         return InitialStateRule(kind="fixed", case_label="none", state=rule_spec)

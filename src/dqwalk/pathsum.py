@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import Coin, Distribution, QubitState, WalkState
 from .engine import _check_block_norms, _evolve_block
-from .ensembles import CoinEnsemble, InitialStateRule
+from .ensembles import CoinEnsemble, InitialStateRule, _support_arrays
 
 BASIS_LABELS = ("P", "Q", "R", "S")
 
@@ -156,7 +156,7 @@ class EnumerationInfeasibleError(RuntimeError):
 
 
 def _channel_states(
-    phi: QubitState, entry_rows: np.ndarray, weights: list, n: int
+    phi: QubitState, entry_rows: np.ndarray, weights: np.ndarray, n: int
 ) -> np.ndarray:
     """The averaged state after n-1 steps as two amplitude "trials".
 
@@ -257,10 +257,7 @@ def exact_average(
     if n == 0:
         return Distribution(0, np.ones(1))
 
-    entry_rows = np.array(
-        [[c.a, c.b, c.c, c.d] for c, _ in ensemble.finite_support], dtype=np.complex128
-    )
-    weights = [w for _, w in ensemble.finite_support]
+    entry_rows, weights = _support_arrays(ensemble.finite_support)
     phi = init_rule.draw()
     if len(entry_rows) == 1:
         states, steps = np.array([[phi.alpha, phi.beta]], dtype=np.complex128), n

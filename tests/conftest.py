@@ -50,3 +50,9 @@ def haar_coin(rng: np.random.Generator) -> Coin:
 
 def haar_coins(rng: np.random.Generator, count: int) -> list[Coin]:
     return [Coin(*map(complex, row)) for row in _draw_haar(rng, count)]
+
+
+def make_haar_mixture(seed: int, weights) -> CoinEnsemble:
+    """A finite ensemble of len(weights) Haar coins, given by its support alone."""
+    coins = haar_coins(np.random.default_rng(seed), len(weights))
+    return CoinEnsemble(name="haar_mixture", finite_support=tuple(zip(coins, weights)))

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from dqwalk import binomial_law, mu_shapira
-from dqwalk.cli import main, parse_n_list
+from dqwalk.cli import ensemble_from_config, main, parse_n_list
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -386,6 +386,8 @@ class TestMalformedConfig:
             ("1,x", "cannot parse initial state '1,x'"),
             (5, "cannot interpret initial-state spec 5"),
             ([None, 1], "malformed init: [None, 1]"),
+            ([True, False], "malformed init: [True, False]"),
+            ([[1, 0], [False, 0]], "malformed init: [[1, 0], [False, 0]]"),
         ],
         ids=repr,
     )
@@ -394,6 +396,16 @@ class TestMalformedConfig:
         path.write_text(json.dumps({"n": 3, "init": init}))
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"dqwalk: {message}\n"
+
+    @pytest.mark.parametrize("ensemble, key", [("ribeiro_two_point", "xi"), ("shapira", "sigma")])
+    def test_boolean_parameter_exits_2(self, ensemble, key, tmp_path, capsys):
+        # JSON's true would otherwise run as 1.0 and be recorded as 1.0.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 3, "ensemble": ensemble, "params": {key: True}}))
+        assert main(["exact", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"dqwalk: malformed {key}: True\n"
+        with pytest.raises(ValueError, match=f"malformed {key}: False"):
+            ensemble_from_config(ensemble, {key: False})
 
     @pytest.mark.parametrize("init", [[[0.6, 0], [0, 0.8]], ["0.6", "0.8j"]], ids=repr)
     def test_init_pairs_match_the_flag(self, init, tmp_path):

@@ -31,7 +31,7 @@ from dqwalk import (
     split_coin,
     step,
 )
-from dqwalk.engine import WORKSET, _evolve_block
+from dqwalk.engine import WORKSET, _evolve_block, draw_realization
 
 
 def brute_force_distribution(phi: QubitState, coins) -> dict[int, float]:
@@ -290,3 +290,14 @@ class TestRunRealization:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             run_realization(make_fixed(), make_initial_state("caseI"), -1, 0)
+
+    @pytest.mark.parametrize("init", ["caseI", "caseII"])
+    def test_draws_evolved_whole_give_the_run(self, init):
+        # `coeffs` rebuilds its walk from these draws.
+        ensemble, rule = make_ribeiro_two_point(0.2), make_initial_state(init)
+        rows, initial = draw_realization(ensemble, rule, 9, 5, trial=3)
+        assert (rows.shape, initial.shape) == ((9, 4), (1, 2))
+        coins = [Coin(*map(complex, row)) for row in rows]
+        phi = QubitState(*map(complex, initial[0]))
+        dist = run_realization(ensemble, rule, 9, 5, trial=3)
+        assert np.array_equal(dist.probs, evolve(phi, coins).distribution().probs)

@@ -12,13 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dqwalk
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
+    Coin,
     CoinEnsemble,
     InitialStateRule,
     QubitState,
@@ -372,6 +373,95 @@ class TestFiniteSupport:
         ensemble = CoinEnsemble(name="zero", draw_parameters=None, finite_support=support)
         assert ensemble.finite_support == support
 
+    def test_zero_weight_coins_are_never_drawn(self):
+        # Zero weights first, between and last; the edge uniforms sit on
+        # both sides of every cumulative weight.
+        support = (
+            (rotation_coin(0.1), 0.0), (HADAMARD, 0.5), (rotation_coin(0.2), 0.0),
+            (rotation_coin(0.3), 0.5), (rotation_coin(0.4), 0.0),
+        )
+        ensemble = CoinEnsemble(name="zero", finite_support=support)
+        u = uniforms_with_edges(4)
+        drawn = ensemble.draw_parameters.transform(u)
+        picked = np.where(u < 0.5, 1, 3)
+        expected = np.array([[c.a, c.b, c.c, c.d] for c, _ in support])[picked]
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+    def test_sampler_and_support_together_rejected(self):
+        with pytest.raises(ValueError, match="not both"):
+            CoinEnsemble(
+                name="both", draw_parameters=make_ribeiro_uniform().draw_parameters,
+                finite_support=((HADAMARD, 1.0),),
+            )
+
+    def test_neither_sampler_nor_support_rejected(self):
+        with pytest.raises(ValueError, match="needs draw_parameters or a finite_support"):
+            CoinEnsemble(name="neither")
+
+
+def uniforms_with_edges(seed: int) -> np.ndarray:
+    """Uniforms of a stream after the values at and next to 0, 1/2 and 1."""
+    edges = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]
+    return np.concatenate([edges, substream(seed).random(4096)])
+
+
+def two_point_oracle(u: np.ndarray, xi: float) -> np.ndarray:
+    """The two-point draw written from its angles: the reference for the
+    draw derived from the support."""
+    return ensembles._rotation_parameters(np.where(u < 0.5, xi, xi + 0.5 * math.pi))
+
+
+def fixed_oracle(u: np.ndarray, coin) -> np.ndarray:
+    """u.size copies of `coin`, filled column by column."""
+    out = np.empty((u.size, 4), dtype=np.complex128)
+    out[:, 0] = coin.a
+    out[:, 1] = coin.b
+    out[:, 2] = coin.c
+    out[:, 3] = coin.d
+    return out
+
+
+class TestDerivedDraws:
+    """A finite ensemble's draw, derived from its support, keeps the bits of
+    the formulas that drew the catalog's finite ensembles before."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(xi=st.floats(0.0, math.pi, exclude_max=True), seed=st.integers(0, 2**64 - 1))
+    @example(xi=0.7854, seed=0)
+    @example(xi=math.pi / 2, seed=1)
+    def test_two_point_keeps_the_angle_formula_bits(self, xi, seed):
+        ensemble = make_ribeiro_two_point(xi)
+        u = uniforms_with_edges(seed)
+        got = ensemble.draw_parameters.transform(u)
+        assert np.array_equal(got.view(np.uint64), two_point_oracle(u, xi).view(np.uint64))
+        sampled = ensemble.sample_batch(substream(seed), 100)
+        expected = two_point_oracle(substream(seed).random(100), xi)
+        assert np.array_equal(sampled.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "coin", [HADAMARD, rotation_coin(0.3), shapira_coin(0.1, -0.2, 0.3)], ids=repr
+    )
+    def test_fixed_keeps_the_column_fill_bits(self, coin):
+        u = uniforms_with_edges(9)
+        got = make_fixed(coin).draw_parameters.transform(u)
+        assert np.array_equal(got.view(np.uint64), fixed_oracle(u, coin).view(np.uint64))
+
+
+class TestFixed:
+    def test_hadamard_keeps_its_name(self):
+        assert make_fixed().config() == {"ensemble": "fixed_hadamard", "params": {}}
+        assert make_fixed(HADAMARD).config() == make_fixed().config()
+
+    def test_other_coins_record_their_entries(self):
+        assert make_fixed(Coin(0.6, 0.8j, 0.8j, 0.6)).config() == {
+            "ensemble": "fixed",
+            "params": {
+                "a_real": 0.6, "a_imag": 0.0, "b_real": 0.0, "b_imag": 0.8,
+                "c_real": 0.0, "c_imag": 0.8, "d_real": 0.6, "d_imag": 0.0,
+            },
+        }
+        assert make_fixed(rotation_coin(0.3)).config() != make_fixed(rotation_coin(0.4)).config()
+
 
 class TestInitialStates:
     def test_case_i_default_is_balanced(self):
@@ -402,6 +492,21 @@ class TestInitialStates:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             make_initial_state("caseIII")
+
+    @pytest.mark.parametrize(
+        "spec", [[True, False], (1, False), [[True, 0], [0, 0]], [[1, 0], [0, False]]], ids=repr
+    )
+    def test_booleans_are_not_numbers(self, spec):
+        # JSON's true and false would otherwise read as 1 and 0.
+        with pytest.raises(TypeError, match="boolean"):
+            make_initial_state(spec)
+
+    def test_custom_random_rule_has_no_spelling(self):
+        draw = make_initial_state("caseII").draw_parameters
+        rule = InitialStateRule(kind="random", case_label="none", draw_parameters=draw)
+        assert rule.config() == "custom_random"
+        with pytest.raises(ValueError):
+            make_initial_state(rule.config())
 
     @pytest.mark.parametrize(
         "spec",

@@ -7,10 +7,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dqwalk.stats
+from conftest import _draw_haar, make_haar_mixture
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
@@ -22,8 +23,10 @@ from dqwalk import (
     InitialStateRule,
     NumericalDriftError,
     QubitState,
+    audit_moments,
     binomial_distribution,
     evolve,
+    exact_average,
     make_fixed,
     make_initial_state,
     make_mackay,
@@ -116,6 +119,60 @@ class TestNonFiniteCoins:
             monte_carlo_average(self.ensemble, make_initial_state("caseI"), 3, 16, master_seed=0)
 
 
+def _haar_states(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Haar-random initial states: the first columns of Haar coins."""
+    return _draw_haar(rng, size)[:, [0, 2]]
+
+
+class TestRecordedInitialRule:
+    def test_custom_random_rule_digest_differs_from_case_ii(self):
+        haar = InitialStateRule(kind="random", case_label="none", draw_parameters=_haar_states)
+        case_ii = make_initial_state("caseII")
+        a = monte_carlo_average(make_fixed(), haar, 6, 500, 1)
+        b = monte_carlo_average(make_fixed(), case_ii, 6, 500, 1)
+        assert not np.array_equal(a.mean_distribution.probs, b.mean_distribution.probs)
+        assert a.digest != b.digest
+
+
+class TestSupportOnlyEnsembles:
+    """An ensemble given by its finite support alone runs through every route."""
+
+    def test_every_route(self, pool_sizes):
+        ensemble = make_haar_mixture(5, (0.5, 0.3, 0.2))
+        init = make_initial_state((0.6, 0.8j))
+        single = run_realization(ensemble, init, 12, 3, trial=0)
+        first = monte_carlo_average(ensemble, init, 12, 1, 3)
+        assert np.array_equal(single.probs, first.mean_distribution.probs)
+        # At n = 12 a run is 4 blocks, so 5000 trials are two runs.
+        serial = monte_carlo_average(ensemble, init, 12, 5000, 3)
+        parallel = monte_carlo_average(ensemble, init, 12, 5000, 3, workers=2)
+        assert pool_sizes == [2]
+        for got, want in ((parallel.mean_distribution.probs, serial.mean_distribution.probs),
+                          (parallel.stderr, serial.stderr)):
+            assert got.tobytes() == want.tobytes()
+        assert audit_moments(ensemble, 1).exact
+        exact = exact_average(ensemble, init, 12)
+        assert np.all(np.abs(serial.mean_distribution.probs - exact.probs) <= 5 * serial.stderr)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        raw=st.lists(st.floats(0.1, 0.9), min_size=2, max_size=3),
+        init=st.sampled_from(["caseI", "1,0", "0.6,0.8j"]),
+    )
+    @example(seed=11, raw=[0.5, 0.3, 0.2], init="0.6,0.8j")
+    def test_monte_carlo_agrees_with_exact_average(self, seed, raw, init):
+        # Monte Carlo through the draws derived from the support against the
+        # exact average over that support, within 5 standard errors per site.
+        weights = (np.array(raw) / sum(raw)).tolist()
+        ensemble, rule = make_haar_mixture(seed, weights), make_initial_state(init)
+        exact = exact_average(ensemble, rule, 8)
+        estimate = monte_carlo_average(ensemble, rule, 8, 20_000, seed)
+        assert np.all(estimate.stderr > 0)
+        deviation = np.abs(estimate.mean_distribution.probs - exact.probs)
+        assert np.all(deviation <= 5 * estimate.stderr)
+
+
 UNIFORM_CATALOG = [
     make_ribeiro_uniform,
     lambda: make_ribeiro_two_point(0.3),
@@ -140,6 +197,10 @@ def as_custom_rule(rule: InitialStateRule) -> InitialStateRule:
     )
 
 
+def two_coin_mixture() -> CoinEnsemble:
+    return make_haar_mixture(4, (0.25, 0.75))
+
+
 class TestBlockStreams:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("init", ["caseI", "caseII"])
@@ -158,7 +219,7 @@ class TestBlockStreams:
         assert np.array_equal(block.stderr, per_trial.stderr)
         assert block.to_json_dict() == per_trial.to_json_dict()
 
-    @pytest.mark.parametrize("factory", UNIFORM_CATALOG + [make_fixed])
+    @pytest.mark.parametrize("factory", UNIFORM_CATALOG + [make_fixed, two_coin_mixture])
     def test_uniform_ensembles_build_no_per_trial_generator(self, factory, monkeypatch):
         def forbidden(*args):
             raise AssertionError("per-trial stream built on the block path")
@@ -214,6 +275,7 @@ UNIFORM_SOURCES = [
     coin_source(make_ribeiro_uniform()),
     coin_source(make_ribeiro_two_point(0.3)),
     coin_source(make_mackay()),
+    coin_source(make_haar_mixture(6, (0.2, 0.3, 0.5))),
     state_source(make_initial_state("caseII")),
 ]
 

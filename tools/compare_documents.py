@@ -20,6 +20,11 @@ The grid:
 * `variance --walker averaged` at 1 and 2 workers;
 * `run` and `coeffs` for every catalog ensemble x caseI/caseII/0.6,0.8j,
   and `moments` for every catalog ensemble;
+* `average`, `run` and `coeffs` of ribeiro_two_point at xi = 0.2 and at
+  xi = pi/2, whose second support angle is pi: the draws of a finite
+  ensemble are derived from its support, and these pin them at two more
+  support pairs (fixed_hadamard's, one coin, are in the `average` grid
+  above at 1 and 2 workers);
 * `moments` of shapira at 20000 draws, past the 16384 coins from which
   numpy elides temporaries, and of ribeiro_uniform at 1100000 draws,
   past 2^20;
@@ -116,6 +121,18 @@ def grid() -> dict[str, tuple[str, ...]]:
                 )
         cases[f"moments-{ensemble}"] = (
             "moments", "--ensemble", ensemble, *params, "--draws", "5000", "--seed", "7",
+        )
+    for xi in ("0.2", "1.5707963267948966"):
+        two_point = ("--ensemble", "ribeiro_two_point", "--xi", xi, "--seed", "7")
+        cases[f"average-ribeiro_two_point-xi{xi}"] = (
+            "average", *two_point, "--init", "caseII", "--n", "10", "--trials", "5121",
+            "--audit-draws", "4096",
+        )
+        cases[f"run-ribeiro_two_point-xi{xi}"] = (
+            "run", *two_point, "--init", "caseII", "--n", "40",
+        )
+        cases[f"coeffs-ribeiro_two_point-xi{xi}"] = (
+            "coeffs", *two_point, "--init", "caseII", "--n", "12",
         )
     cases["moments-shapira-d20000"] = (
         "moments", "--ensemble", "shapira", *ENSEMBLES["shapira"], "--draws", "20000",
