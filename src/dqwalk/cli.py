@@ -293,7 +293,7 @@ def _cmd_variance(inputs: _Inputs) -> tuple[dict, list[str] | None]:
         walker = ClassicalWalker()
     elif walker_name == "hadamard":
         init_rule = inputs.init()
-        if init_rule.kind != "fixed":
+        if init_rule.state is None:
             raise ValueError("the deterministic hadamard walker needs a fixed initial state")
         walker = DeterministicWalker(HADAMARD, init_rule.draw())
     elif walker_name == "averaged":

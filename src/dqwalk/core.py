@@ -88,13 +88,6 @@ class Coin:
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Coin":
-        m = np.asarray(m)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
-
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

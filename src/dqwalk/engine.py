@@ -173,7 +173,7 @@ def draw_realization(
     """
     abcd = ensemble.sample_batch(substream(master_seed, trial, COIN_STREAM), n)
     initial = init_rule.draw_batch(
-        substream(master_seed, trial, INIT_STREAM) if init_rule.kind == "random" else None, 1
+        substream(master_seed, trial, INIT_STREAM) if init_rule.state is None else None, 1
     )
     return abcd, initial
 

@@ -343,11 +343,10 @@ def make_shapira(sigma: float) -> CoinEnsemble:
     Balanced (E|a|^2 = E|b|^2 = 1/2) but with nonzero cross moment
     mu(sigma), so its averaged walk does NOT reduce to the classical
     binomial law.  The sigma -> 0 limit is the deterministic Hadamard
-    walk.
+    walk.  Raises ValueError unless sigma is positive and finite (the
+    check is `mu_shapira`'s).
     """
     sigma = float(sigma)
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return CoinEnsemble(
         name="shapira",
         draw_parameters=partial(_draw_shapira, sigma=sigma),
@@ -563,33 +562,30 @@ def _uniform_phase_states(u: np.ndarray) -> np.ndarray:
     return out
 
 
+#: The caseII draw, (cos t, sin t) with t uniform on [0, 2pi): the one
+#: draw that `InitialStateRule.config` records as ``"caseII"``.
+_CASE_II_DRAW = UniformDraw(_uniform_phase_states)
+
+
 @dataclass(frozen=True)
 class InitialStateRule:
     """Fixed or random initial chirality state of a walk realization.
 
-    Fixed rules never touch the stream; random rules draw one state per
-    realization, vectorizable via `draw_batch`.  A fixed rule needs a
-    `state` and a random one `draw_parameters`; construction raises
-    ValueError otherwise.
+    A rule is given by exactly one of a fixed `state` or a random
+    `draw_parameters`, which draws one state per realization
+    (vectorizable via `draw_batch`); construction raises ValueError when
+    both or neither is given.  Fixed rules never touch the stream.
     """
 
-    kind: Literal["fixed", "random"]
-    case_label: Literal["case_i", "case_ii", "none"]
     state: QubitState | None = None
     draw_parameters: StateDraw | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "fixed":
-            if self.state is None:
-                raise ValueError("a fixed initial-state rule needs a state")
-        elif self.kind == "random":
-            if self.draw_parameters is None:
-                raise ValueError("a random initial-state rule needs draw_parameters")
-        else:
-            raise ValueError(f"initial-state rule kind must be fixed or random, got {self.kind!r}")
+        if (self.state is None) == (self.draw_parameters is None):
+            raise ValueError("an initial-state rule needs a state or draw_parameters, not both")
 
     def draw(self, rng: np.random.Generator | None = None) -> QubitState:
-        if self.kind == "fixed":
+        if self.state is not None:
             return self.state
         if rng is None:
             raise ValueError("a random initial-state rule needs a generator")
@@ -598,7 +594,7 @@ class InitialStateRule:
 
     def draw_batch(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
         """(size, 2) array of (alpha, beta) rows."""
-        if self.kind == "fixed":
+        if self.state is not None:
             out = np.empty((size, 2), dtype=np.complex128)
             out[:, 0] = self.state.alpha
             out[:, 1] = self.state.beta
@@ -608,15 +604,21 @@ class InitialStateRule:
         return np.asarray(self.draw_parameters(rng, size), dtype=np.complex128)
 
     def config(self):
-        """The rule as a config records it: ``"caseI"``, ``"caseII"``, or a
-        fixed state's ``[[re, im], [re, im]]``, all of which
-        `make_initial_state` reads back.  Any other random rule is recorded
-        as ``"custom_random"``, which `make_initial_state` rejects, so its
-        documents and digests are never taken for caseII's.
+        """The rule as a config records it, read off its value.
+
+        ``"caseI"`` for the state `CASE_I_DEFAULT` (bit for bit, so a zero's
+        sign counts), ``"caseII"`` for caseII's draw, (cos t, sin t) with t
+        uniform on [0, 2pi), and any other fixed state as
+        ``[[re, im], [re, im]]``; `make_initial_state` reads each of these
+        back, so a rule's record rebuilds its state.  Any other draw is
+        recorded as ``"custom_random"``, which `make_initial_state` rejects,
+        so its documents and digests are never taken for caseII's.
         """
-        if self.kind == "random":
-            return "caseII" if self.case_label == "case_ii" else "custom_random"
-        if self.case_label == "case_i":
+        if self.state is None:
+            return "caseII" if self.draw_parameters == _CASE_II_DRAW else "custom_random"
+        # Compared by bits, not `==`, which takes -0.0 for 0.0: the record
+        # must rebuild the state bit for bit.
+        if self.state.vector.tobytes() == CASE_I_DEFAULT.vector.tobytes():
             return "caseI"
         return [
             [self.state.alpha.real, self.state.alpha.imag],
@@ -664,17 +666,13 @@ def make_initial_state(rule_spec) -> InitialStateRule:
     pair whose entries are of no numeric type or are booleans.
     """
     if isinstance(rule_spec, QubitState):
-        return InitialStateRule(kind="fixed", case_label="none", state=rule_spec)
+        return InitialStateRule(state=rule_spec)
     if isinstance(rule_spec, str):
         key = rule_spec.strip().lower()
         if key in ("casei", "casei_default", "case_i"):
-            return InitialStateRule(kind="fixed", case_label="case_i", state=CASE_I_DEFAULT)
+            return InitialStateRule(state=CASE_I_DEFAULT)
         if key in ("caseii", "caseii_uniform_phase", "case_ii"):
-            return InitialStateRule(
-                kind="random",
-                case_label="case_ii",
-                draw_parameters=UniformDraw(_uniform_phase_states),
-            )
+            return InitialStateRule(draw_parameters=_CASE_II_DRAW)
         parts = rule_spec.split(",")
         if len(parts) != 2:
             raise ValueError(f"fixed initial state must be 'alpha,beta', got {rule_spec!r}")
@@ -686,4 +684,4 @@ def make_initial_state(rule_spec) -> InitialStateRule:
         alpha, beta = map(_complex_entry, rule_spec)
     else:
         raise ValueError(f"cannot interpret initial-state spec {rule_spec!r}")
-    return InitialStateRule(kind="fixed", case_label="none", state=QubitState(alpha, beta))
+    return InitialStateRule(state=QubitState(alpha, beta))

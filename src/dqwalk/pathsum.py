@@ -252,7 +252,7 @@ def exact_average(
         raise EnumerationInfeasibleError(
             f"ensemble {ensemble.name!r} has continuous support; exact averaging needs a finite one"
         )
-    if init_rule.kind != "fixed":
+    if init_rule.state is None:
         raise ValueError("exact averaging needs a fixed initial state")
     if n == 0:
         return Distribution(0, np.ones(1))

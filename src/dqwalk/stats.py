@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -153,7 +152,7 @@ def _mc_block(
         ensemble.draw_parameters, ensemble.sample_batch,
         master_seed, start, count, COIN_STREAM, n, 4,
     )
-    if init_rule.kind == "random":
+    if init_rule.state is None:
         initial = _block_draws(
             init_rule.draw_parameters, init_rule.draw_batch,
             master_seed, start, count, INIT_STREAM, 1, 2,
@@ -288,19 +287,13 @@ class VarianceScan:
         return ["n,variance"] + [f"{n},{v!r}" for n, v in self.rows]
 
 
-def _classical_variance(n: int) -> float:
-    # Integer arithmetic: sum_m (2m-n)^2 C(n,m) = n 2^n, so the float
-    # division is exact and the result is n with no rounding at all.
-    numerator = sum((2 * m - n) ** 2 * math.comb(n, m) for m in range(n + 1))
-    return numerator / (1 << n)
-
 def variance_scan(walker: Walker, n_list: Sequence[int]) -> VarianceScan:
     """Variance of the site coordinate at each n in `n_list`.
 
-    The classical walker is evaluated in exact arithmetic; the
-    deterministic walker evolves one realization per n; the averaged
-    walker runs a full Monte Carlo average per n (same master seed each
-    row, so a row reproduces the standalone `monte_carlo_average` call).
+    The classical walker's variance is n exactly; the deterministic
+    walker evolves one realization per n; the averaged walker runs a full
+    Monte Carlo average per n (same master seed each row, so a row
+    reproduces the standalone `monte_carlo_average` call).
     """
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
@@ -313,7 +306,8 @@ def variance_scan(walker: Walker, n_list: Sequence[int]) -> VarianceScan:
     if isinstance(walker, ClassicalWalker):
         label = "classical"
         for n in n_list:
-            rows.append((int(n), _classical_variance(int(n))))
+            # sum_m (2m-n)^2 C(n,m) / 2^n = n exactly.
+            rows.append((int(n), float(n)))
     elif isinstance(walker, DeterministicWalker):
         label = "deterministic"
         for n in n_list:

@@ -83,6 +83,17 @@ class TestRunCommand:
         assert lines[2] == "k,probability"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("command", ["run", "exact"])
+    def test_case_i_written_out_is_recorded_as_case_i(self, command, tmp_path):
+        # The record is read off the state, so the same state gets the same document.
+        documents = []
+        for init in ("0.7071067811865475,0.7071067811865475j", "caseI"):
+            out = tmp_path / f"{init}.json"
+            assert main([command, "--ensemble", "ribeiro_two_point", "--xi", "0.7854",
+                         "--init", init, "--n", "6", "--out", str(out)]) == 0
+            documents.append(out.read_bytes())
+        assert documents[0] == documents[1]
+
 
 class TestSeedPrecedence:
     def test_env_seed_used_when_flag_absent(self, tmp_path):

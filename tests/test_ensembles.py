@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -481,9 +482,37 @@ class TestInitialStates:
 
     def test_fixed_custom_state(self):
         rule = make_initial_state((1, 0))
-        assert rule.kind == "fixed"
-        assert rule.case_label == "none"
+        assert rule == InitialStateRule(state=QubitState(1, 0))
+        assert rule.draw_parameters is None
         assert rule.draw().alpha == 1 + 0j
+
+    def test_record_is_read_off_the_state(self):
+        # A fixed rule records its own state, never a caseI it was not given.
+        assert InitialStateRule(state=QubitState(1, 0)).config() == [[1.0, 0.0], [0.0, 0.0]]
+        assert InitialStateRule(state=CASE_I_DEFAULT).config() == "caseI"
+        written_out = make_initial_state("0.7071067811865475,0.7071067811865475j")
+        assert written_out.config() == "caseI"
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["0.7071067811865475-0j,0.7071067811865475j", "0.7071067811865475,-0+0.7071067811865475j"],
+    )
+    def test_signed_zero_keeps_its_pair(self, spec):
+        # Equal to (1, i)/sqrt 2 under `==`, but not bit for bit, so the
+        # record must keep the pair for the config to rebuild the bits.
+        rule = make_initial_state(spec)
+        assert rule.draw() == CASE_I_DEFAULT
+        assert isinstance(rule.config(), list)
+        again = make_initial_state(json.loads(json.dumps(rule.config())))
+        bits = [np.array([s.alpha, s.beta]).view(np.uint64) for s in (rule.draw(), again.draw())]
+        assert np.array_equal(*bits)
+
+    def test_record_is_read_off_the_draw(self):
+        draw = ensembles.UniformDraw(ensembles._uniform_phase_states)
+        case_ii = InitialStateRule(draw_parameters=draw)
+        assert case_ii.config() == "caseII"
+        same_draws = InitialStateRule(draw_parameters=partial(case_ii.draw_parameters))
+        assert same_draws.config() == "custom_random"
 
     def test_fixed_rejects_non_unit_norm(self):
         with pytest.raises(ValueError):
@@ -503,7 +532,7 @@ class TestInitialStates:
 
     def test_custom_random_rule_has_no_spelling(self):
         draw = make_initial_state("caseII").draw_parameters
-        rule = InitialStateRule(kind="random", case_label="none", draw_parameters=draw)
+        rule = InitialStateRule(draw_parameters=partial(draw))
         assert rule.config() == "custom_random"
         with pytest.raises(ValueError):
             make_initial_state(rule.config())
@@ -517,8 +546,8 @@ class TestInitialStates:
     def test_every_fixed_spelling(self, spec):
         # The CLI's text and every pair a config file can hold.
         rule = make_initial_state(spec)
-        assert (rule.kind, rule.case_label) == ("fixed", "none")
-        assert rule.draw() == QubitState(0.6, 0.8j)
+        assert rule == InitialStateRule(state=QubitState(0.6, 0.8j))
+        assert rule.config() == [[0.6, 0.0], [0.0, 0.8]]
 
     @given(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
     def test_config_round_trip_keeps_the_state_bits(self, t, u, v):
@@ -537,7 +566,7 @@ class TestInitialStates:
         rule = make_initial_state(spec)
         assert rule.config() == name
         again = make_initial_state(name)
-        assert (again.kind, again.case_label) == (rule.kind, rule.case_label)
+        assert again == rule
         assert np.array_equal(again.draw_batch(substream(3), 8), rule.draw_batch(substream(3), 8))
 
     @pytest.mark.parametrize(
@@ -564,15 +593,11 @@ class TestInitialStates:
 
     @pytest.mark.parametrize(
         "fields",
-        [
-            {"kind": "fixed", "case_label": "none"},
-            {"kind": "random", "case_label": "case_ii"},
-            {"kind": "mixed", "case_label": "none", "state": CASE_I_DEFAULT},
-        ],
-        ids=["fixed_without_state", "random_without_draw", "unknown_kind"],
+        [{}, {"state": CASE_I_DEFAULT, "draw_parameters": ensembles._CASE_II_DRAW}],
+        ids=["neither_field", "both_fields"],
     )
     def test_malformed_rule_rejected(self, fields):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a state or draw_parameters, not both"):
             InitialStateRule(**fields)
 
     def test_malformed_rule_rejected_in_optimized_mode(self):
@@ -580,7 +605,7 @@ class TestInitialStates:
         program = (
             "from dqwalk import InitialStateRule\n"
             "try:\n"
-            "    InitialStateRule(kind='fixed', case_label='none')\n"
+            "    InitialStateRule()\n"
             "except ValueError as exc:\n"
             "    print(exc)\n"
             "else:\n"

@@ -126,7 +126,7 @@ def _haar_states(rng: np.random.Generator, size: int) -> np.ndarray:
 
 class TestRecordedInitialRule:
     def test_custom_random_rule_digest_differs_from_case_ii(self):
-        haar = InitialStateRule(kind="random", case_label="none", draw_parameters=_haar_states)
+        haar = InitialStateRule(draw_parameters=_haar_states)
         case_ii = make_initial_state("caseII")
         a = monte_carlo_average(make_fixed(), haar, 6, 500, 1)
         b = monte_carlo_average(make_fixed(), case_ii, 6, 500, 1)
@@ -189,12 +189,10 @@ def as_custom_ensemble(ensemble: CoinEnsemble) -> CoinEnsemble:
 
 
 def as_custom_rule(rule: InitialStateRule) -> InitialStateRule:
-    if rule.kind == "fixed":
+    """The same draws behind a plain callable, recorded as ``custom_random``."""
+    if rule.state is not None:
         return rule
-    return InitialStateRule(
-        kind=rule.kind, case_label=rule.case_label,
-        draw_parameters=partial(rule.draw_parameters),
-    )
+    return InitialStateRule(draw_parameters=partial(rule.draw_parameters))
 
 
 def two_coin_mixture() -> CoinEnsemble:
@@ -217,7 +215,15 @@ class TestBlockStreams:
         assert pool_sizes == ([] if workers == 1 else [2, 2])
         assert np.array_equal(block.mean_distribution.probs, per_trial.mean_distribution.probs)
         assert np.array_equal(block.stderr, per_trial.stderr)
-        assert block.to_json_dict() == per_trial.to_json_dict()
+        # A copy of caseII's draw records "custom_random", so its digest
+        # differs from caseII's; every other key is the same.
+        block_doc, per_trial_doc = block.to_json_dict(), per_trial.to_json_dict()
+        digests = block_doc.pop("config_digest"), per_trial_doc.pop("config_digest")
+        assert block_doc == per_trial_doc
+        if init == "caseII":
+            assert digests[0] != digests[1]
+        else:
+            assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("factory", UNIFORM_CATALOG + [make_fixed, two_coin_mixture])
     def test_uniform_ensembles_build_no_per_trial_generator(self, factory, monkeypatch):
@@ -246,7 +252,7 @@ def eager_mc_block(ensemble, init_rule, n, master_seed, start, count):
         ensemble.draw_parameters, ensemble.sample_batch,
         master_seed, start, count, COIN_STREAM, n, 4,
     )
-    if init_rule.kind == "random":
+    if init_rule.state is None:
         initial = eager_block_draws(
             init_rule.draw_parameters, init_rule.draw_batch,
             master_seed, start, count, INIT_STREAM, 1, 2,

@@ -33,7 +33,8 @@ The grid:
   x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 1 and 2 (0 and 1
   channel steps), 40 and 100, 0.6,0.8j at n = 60 and the default initial
   state at n = 24;
-* `run` in CSV, and `variance --walker classical|hadamard`;
+* `run` in CSV, and `variance --walker classical|hadamard`, the classical
+  walker also at n = 0, 1, 1000 and 4096, whose variances are n exactly;
 * runs that take inputs from a `--config` file and from `DQW_SEED`,
   among them `run` and `exact` from configs whose `init` is written as a
   pair of `[re, im]` lists and as a pair of complex literals;
@@ -162,6 +163,8 @@ def grid() -> dict[str, tuple[str, ...]]:
         "run-csv": ("run", "--ensemble", "mackay_uniform", "--init", "caseII", "--n", "9",
                     "--format", "csv"),
         "variance-classical": ("variance", "--walker", "classical", "--n", "10..100:10"),
+        "variance-classical-large-n": ("variance", "--walker", "classical",
+                                       "--n", "0,1,1000,4096"),
         "variance-hadamard": ("variance", "--walker", "hadamard", "--init", "1,0",
                               "--n", "1,5,20", "--format", "csv"),
         "config-run": ("run", "--config", "config.json"),
