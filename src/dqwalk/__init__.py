@@ -33,7 +33,6 @@ from .engine import WalkRun, evolve, run_realization, step
 from .ensembles import (
     CASE_I_DEFAULT,
     CoinEnsemble,
-    DeclaredMoments,
     InitialStateRule,
     MomentReport,
     UniformDraw,
@@ -81,7 +80,6 @@ __all__ = [
     "Coin",
     "CoinValidation",
     "CoinEnsemble",
-    "DeclaredMoments",
     "Distribution",
     "InitialStateRule",
     "MomentReport",

@@ -24,7 +24,8 @@ Catalog
 - ``make_ribeiro_uniform()``:   real rotation coins, angle uniform on [0, 2pi)
 - ``make_ribeiro_two_point(xi)``: real rotation coins, angle xi or xi + pi/2
   with probability 1/2 each (finite support, so `exact_average` applies)
-- ``make_mackay(phase_dist)``:  (1/sqrt 2) [[1, e^{i theta}], [e^{-i theta}, -1]]
+- ``make_mackay()``:            (1/sqrt 2) [[1, e^{i theta}], [e^{-i theta}, -1]],
+  theta uniform on [0, 2pi)
 - ``make_shapira(sigma)``:      Hadamard perturbed by a Gaussian SU(2) kick;
   violates the cross-moment condition (see `mu_shapira`)
 - ``make_fixed(coin)``:         degenerate single-coin ensemble (the
@@ -49,11 +50,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal
 
 import numpy as np
 
-from .core import EPS_UNIT, HADAMARD, Coin, QubitState
+from .core import EPS_UNIT, HADAMARD, Coin, QubitState, validate_coin
 from .streams import substream
 
 #: Below this radius the SU(2) kick uses the series form of sin(r)/r,
@@ -80,22 +81,6 @@ class UniformDraw:
 
     def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.transform(rng.random(size))
-
-
-@dataclass(frozen=True)
-class DeclaredMoments:
-    """Closed-form moment values an ensemble declares about itself.
-
-    `a_conj_c` is the column moment E(a conj(c)) that `audit_moments`
-    flags; the collapse to the binomial law is decided by the row moment
-    E(a conj(b)) with balance, and the two vanish together in every
-    catalog ensemble.  `None` marks a moment with no known closed form (it
-    can still be estimated by `audit_moments`).
-    """
-
-    abs_a_sq: Optional[float]
-    abs_b_sq: Optional[float]
-    a_conj_c: Optional[complex]
 
 
 def _support_arrays(support: tuple[tuple[Coin, float], ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -126,14 +111,21 @@ class CoinEnsemble:
     derived from it: a `UniformDraw` that picks coin k when a uniform
     falls in its cumulative-weight interval.  Construction raises
     ValueError when both `draw_parameters` and `finite_support` are
-    given, or neither.
+    given, or neither, and when a support coin fails `validate_coin`.
+
+    `declared_a_conj_c` is the closed form the ensemble declares for the
+    column moment E(a conj(c)), the moment whose vanishing `audit_moments`
+    flags as `eq_cross`; `None` declares nothing (the moment can still be
+    estimated).  The collapse to the binomial law is decided by the row
+    moment E(a conj(b)) with balance, and the two vanish together in every
+    catalog ensemble.
     """
 
     name: str
     draw_parameters: ParameterDraw | None = None
     params: tuple[tuple[str, float], ...] = ()
     finite_support: tuple[tuple[Coin, float], ...] | None = None
-    declared_moments: DeclaredMoments | None = None
+    declared_a_conj_c: complex | None = None
 
     def __post_init__(self) -> None:
         if (self.draw_parameters is None) == (self.finite_support is None):
@@ -145,11 +137,14 @@ class CoinEnsemble:
             return
         if not self.finite_support:
             raise ValueError("finite support must hold at least one coin")
-        for _, w in self.finite_support:
+        for k, (coin, w) in enumerate(self.finite_support):
             if not 0.0 <= w < math.inf:
                 raise ValueError(
                     f"finite support weights must be finite and nonnegative, got {w!r}"
                 )
+            report = validate_coin(coin)
+            if not report.ok:
+                raise ValueError(f"support coin {k} is not unitary: failed {report.failures()}")
         weight = sum(w for _, w in self.finite_support)
         if abs(weight - 1.0) > EPS_UNIT:
             raise ValueError(f"finite support weights must sum to 1, got {weight!r}")
@@ -215,7 +210,7 @@ def make_ribeiro_uniform() -> CoinEnsemble:
     return CoinEnsemble(
         name="ribeiro_uniform",
         draw_parameters=UniformDraw(_ribeiro_uniform_coins),
-        declared_moments=DeclaredMoments(0.5, 0.5, 0.0 + 0.0j),
+        declared_a_conj_c=0.0 + 0.0j,
     )
 
 
@@ -237,7 +232,7 @@ def make_ribeiro_two_point(xi: float) -> CoinEnsemble:
         name="ribeiro_two_point",
         params=(("xi", xi),),
         finite_support=support,
-        declared_moments=DeclaredMoments(0.5, 0.5, 0.0 + 0.0j),
+        declared_a_conj_c=0.0 + 0.0j,
     )
 
 
@@ -257,31 +252,18 @@ def _mackay_uniform_coins(u: np.ndarray) -> np.ndarray:
     return _phase_parameters(_uniform_angle(u))
 
 
-def _draw_mackay_custom(rng: np.random.Generator, size: int, phase_dist) -> np.ndarray:
-    theta = np.array([float(phase_dist(rng)) for _ in range(size)])
-    return _phase_parameters(theta)
-
-
-def make_mackay(phase_dist: Callable[[np.random.Generator], float] | None = None) -> CoinEnsemble:
-    """Phase coins (1/sqrt 2) [[1, e^{i t}], [e^{-i t}, -1]].
+def make_mackay() -> CoinEnsemble:
+    """Phase coins (1/sqrt 2) [[1, e^{i t}], [e^{-i t}, -1]], t uniform on [0, 2pi).
 
     Every entry has modulus exactly 1/sqrt 2, so the balance condition
-    holds for any phase law.  The cross moment is E(e^{i t})/2, which
-    vanishes when E(cos t) = E(sin t) = 0; that is the caller's burden
-    for a custom `phase_dist` (auditable, not enforced).  With
-    `phase_dist=None` the phase is uniform on [0, 2pi) and both
-    conditions hold.
+    holds for any phase law, and the cross moment is E(e^{i t})/2, which
+    the uniform phase makes vanish.  Another phase law is a plain
+    `CoinEnsemble` with its own name and params (README shows one).
     """
-    if phase_dist is None:
-        return CoinEnsemble(
-            name="mackay_uniform",
-            draw_parameters=UniformDraw(_mackay_uniform_coins),
-            declared_moments=DeclaredMoments(0.5, 0.5, 0.0 + 0.0j),
-        )
     return CoinEnsemble(
-        name="mackay_custom",
-        draw_parameters=partial(_draw_mackay_custom, phase_dist=phase_dist),
-        declared_moments=DeclaredMoments(0.5, 0.5, None),
+        name="mackay_uniform",
+        draw_parameters=UniformDraw(_mackay_uniform_coins),
+        declared_a_conj_c=0.0 + 0.0j,
     )
 
 
@@ -351,7 +333,7 @@ def make_shapira(sigma: float) -> CoinEnsemble:
         name="shapira",
         draw_parameters=partial(_draw_shapira, sigma=sigma),
         params=(("sigma", sigma),),
-        declared_moments=DeclaredMoments(0.5, 0.5, complex(mu_shapira(sigma))),
+        declared_a_conj_c=complex(mu_shapira(sigma)),
     )
 
 
@@ -383,9 +365,7 @@ def make_fixed(coin: Coin = HADAMARD) -> CoinEnsemble:
         name=name,
         params=params,
         finite_support=((coin, 1.0),),
-        declared_moments=DeclaredMoments(
-            abs(coin.a) ** 2, abs(coin.b) ** 2, coin.a * coin.c.conjugate()
-        ),
+        declared_a_conj_c=coin.a * coin.c.conjugate(),
     )
 
 
@@ -416,7 +396,8 @@ class MomentReport:
     balance and the row moment E(a conj b) = 0, which this report does not
     estimate: `eq_cross` stands for it where the two moments vanish
     together, as in every catalog ensemble, and a satisfied `eq_cross`
-    alone does not imply the collapse.
+    alone does not imply the collapse.  `declared_a_conj_c` is the
+    ensemble's own closed form for E(a conj c), if it declares one.
     """
 
     ensemble: str
@@ -426,7 +407,7 @@ class MomentReport:
     stderrs: dict[str, float]
     eq_balance: MomentFlag
     eq_cross: MomentFlag
-    declared: DeclaredMoments | None = None
+    declared_a_conj_c: complex | None = None
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -440,11 +421,9 @@ class MomentReport:
             "eq_balance": self.eq_balance,
             "eq_cross": self.eq_cross,
         }
-        if self.declared is not None and self.declared.a_conj_c is not None:
-            payload["declared_a_conj_c"] = [
-                complex(self.declared.a_conj_c).real,
-                complex(self.declared.a_conj_c).imag,
-            ]
+        if self.declared_a_conj_c is not None:
+            declared = complex(self.declared_a_conj_c)
+            payload["declared_a_conj_c"] = [declared.real, declared.imag]
         return payload
 
 
@@ -541,7 +520,7 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
         stderrs=stderrs,
         eq_balance=eq_balance,
         eq_cross=eq_cross,
-        declared=ensemble.declared_moments,
+        declared_a_conj_c=ensemble.declared_a_conj_c,
     )
 
 

@@ -29,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import Coin, Distribution, QubitState, summary_stats
-from .engine import _check_block_norms, _evolve_block, evolve
-from .ensembles import CoinEnsemble, InitialStateRule, UniformDraw
-from .pathsum import binomial_distribution
+from .engine import _check_block_norms, _evolve_block
+from .ensembles import CoinEnsemble, InitialStateRule, UniformDraw, make_fixed
+from .pathsum import binomial_distribution, exact_average
 from .streams import COIN_STREAM, INIT_STREAM, block_uniforms, substream
 
 #: Trials per accumulation block.  Fixed (not tuned per run) so that the
@@ -291,7 +291,8 @@ def variance_scan(walker: Walker, n_list: Sequence[int]) -> VarianceScan:
     """Variance of the site coordinate at each n in `n_list`.
 
     The classical walker's variance is n exactly; the deterministic
-    walker evolves one realization per n; the averaged walker runs a full
+    walker's row is the exact average of its one-coin ensemble, which is
+    its walk (`dqwalk.pathsum.exact_average`); the averaged walker runs a full
     Monte Carlo average per n (same master seed each row, so a row
     reproduces the standalone `monte_carlo_average` call).
     """
@@ -310,9 +311,9 @@ def variance_scan(walker: Walker, n_list: Sequence[int]) -> VarianceScan:
             rows.append((int(n), float(n)))
     elif isinstance(walker, DeterministicWalker):
         label = "deterministic"
+        ensemble, init_rule = make_fixed(walker.coin), InitialStateRule(state=walker.initial)
         for n in n_list:
-            run = evolve(walker.initial, [walker.coin] * int(n))
-            _, variance = summary_stats(run.distribution())
+            _, variance = summary_stats(exact_average(ensemble, init_rule, int(n)))
             rows.append((int(n), variance))
     elif isinstance(walker, AveragedWalker):
         label = f"averaged:{walker.ensemble.name}"

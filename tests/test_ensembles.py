@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -46,6 +47,18 @@ from dqwalk.ensembles import (
 )
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
+
+#: Not unitary: it keeps the top row and drops the bottom one.
+PROJECTOR = Coin(1, 0, 0, 0)
+
+
+def _zero_phase_coins(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Phase coins at the constant phase 0, a law whose cross moment is 1/2."""
+    return ensembles._phase_parameters(np.zeros(size))
+
+
+#: A custom phase law: a plain `CoinEnsemble` that declares no moment.
+ZERO_PHASE = CoinEnsemble(name="mackay_zero_phase", draw_parameters=_zero_phase_coins)
 
 #: A real-coin and a complex-coin ensemble without finite support.
 SAMPLED_AUDITS = pytest.mark.parametrize(
@@ -109,7 +122,7 @@ class TestRibeiroTwoPoint:
 
 class TestMackay:
     def test_zero_phase_is_hadamard(self):
-        coin = make_mackay(lambda rng: 0.0).sample(substream(0))
+        coin = ZERO_PHASE.sample(substream(0))
         assert coin == HADAMARD
 
     def test_uniform_phase_mean_vanishes(self):
@@ -124,9 +137,14 @@ class TestMackay:
         assert np.all(np.abs(np.abs(rows) - h) < 1e-15)
 
     def test_degenerate_phase_violates_cross_condition(self):
-        report = audit_moments(make_mackay(lambda rng: 0.0), draws=5000, seed=2)
+        report = audit_moments(ZERO_PHASE, draws=5000, seed=2)
         assert report.eq_balance == "satisfied"
         assert report.eq_cross == "violated"
+
+    def test_undeclared_moment_writes_no_key(self):
+        assert "declared_a_conj_c" not in audit_moments(ZERO_PHASE, draws=5000).to_json_dict()
+        declared = audit_moments(make_mackay(), draws=5000).to_json_dict()
+        assert declared["declared_a_conj_c"] == [0.0, 0.0]
 
 
 class TestShapira:
@@ -243,7 +261,7 @@ def eager_audit_moments(ensemble, draws, seed=0):
     return MomentReport(
         ensemble=ensemble.name, draws=draws, exact=exact, estimates=estimates,
         stderrs=stderrs, eq_balance=eq_balance, eq_cross=eq_cross,
-        declared=ensemble.declared_moments,
+        declared_a_conj_c=ensemble.declared_a_conj_c,
     )
 
 
@@ -399,6 +417,18 @@ class TestFiniteSupport:
         with pytest.raises(ValueError, match="needs draw_parameters or a finite_support"):
             CoinEnsemble(name="neither")
 
+    @pytest.mark.parametrize(
+        "support, index",
+        [(((PROJECTOR, 1.0),), 0), (((HADAMARD, 0.5), (PROJECTOR, 0.5)), 1)],
+        ids=["alone", "mixed"],
+    )
+    def test_non_unitary_coin_rejected(self, support, index):
+        # Alone, the projector walks the state (1, 0) to a point mass at -n
+        # without losing norm, so no drift check downstream would catch it.
+        message = f"support coin {index} is not unitary: failed ['norm_bd', 'det_modulus']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CoinEnsemble(name="projector", finite_support=support)
+
 
 def uniforms_with_edges(seed: int) -> np.ndarray:
     """Uniforms of a stream after the values at and next to 0, 1/2 and 1."""
@@ -462,6 +492,10 @@ class TestFixed:
             },
         }
         assert make_fixed(rotation_coin(0.3)).config() != make_fixed(rotation_coin(0.4)).config()
+
+    def test_non_unitary_coin_rejected(self):
+        with pytest.raises(ValueError, match="support coin 0 is not unitary"):
+            make_fixed(PROJECTOR)
 
 
 class TestInitialStates:

@@ -17,6 +17,7 @@ from dqwalk import (
     HADAMARD,
     AveragedWalker,
     ClassicalWalker,
+    Coin,
     CoinEnsemble,
     DeterministicWalker,
     Distribution,
@@ -40,7 +41,7 @@ from dqwalk import (
     variance_scan,
 )
 from dqwalk.engine import WORKSET, _check_block_norms, _evolve_block
-from dqwalk.ensembles import UniformDraw
+from dqwalk.ensembles import UniformDraw, _phase_parameters
 from dqwalk.stats import BLOCK_SIZE, RUN_SITES, _block_draws, _mc_block
 from dqwalk.streams import COIN_STREAM, INIT_STREAM, block_uniforms, substream
 
@@ -195,6 +196,11 @@ def as_custom_rule(rule: InitialStateRule) -> InitialStateRule:
     return InitialStateRule(draw_parameters=partial(rule.draw_parameters))
 
 
+def _phase_coins_on_unit_interval(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Phase coins with the phase uniform on [-1, 1): a per-trial phase law."""
+    return _phase_parameters(rng.uniform(-1.0, 1.0, size))
+
+
 def two_coin_mixture() -> CoinEnsemble:
     return make_haar_mixture(4, (0.25, 0.75))
 
@@ -288,7 +294,7 @@ UNIFORM_SOURCES = [
 PER_TRIAL_SOURCES = [
     coin_source(make_shapira(0.5)),
     coin_source(make_fixed()),
-    coin_source(make_mackay(lambda rng: rng.uniform(-1.0, 1.0))),
+    coin_source(CoinEnsemble(name="phase_unit", draw_parameters=_phase_coins_on_unit_interval)),
     coin_source(as_custom_ensemble(make_ribeiro_uniform())),
     state_source(as_custom_rule(make_initial_state("caseII"))),
 ]
@@ -454,6 +460,12 @@ class TestVarianceScan:
         run = evolve(CASE_I_DEFAULT, [HADAMARD] * 20)
         _, expected = summary_stats(run.distribution())
         assert scan.variances()[20] == pytest.approx(expected, abs=1e-12)
+
+    def test_deterministic_walker_rejects_a_non_unitary_coin(self):
+        # The projector keeps the state (1, 0) at unit norm, so no drift
+        # check downstream would see it.
+        with pytest.raises(ValueError, match="not unitary"):
+            variance_scan(DeterministicWalker(Coin(1, 0, 0, 0), QubitState(1, 0)), [4])
 
     def test_averaged_walker_reproduces_direct_call(self):
         ensemble = make_ribeiro_two_point(0.7)

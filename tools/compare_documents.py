@@ -34,7 +34,9 @@ The grid:
   channel steps), 40 and 100, 0.6,0.8j at n = 60 and the default initial
   state at n = 24;
 * `run` in CSV, and `variance --walker classical|hadamard`, the classical
-  walker also at n = 0, 1, 1000 and 4096, whose variances are n exactly;
+  walker also at n = 0, 1, 1000 and 4096, whose variances are n exactly,
+  and the hadamard walker also in JSON at n = 1, 64, 200 and 500, whose
+  rows are the exact average of the one-coin ensemble;
 * runs that take inputs from a `--config` file and from `DQW_SEED`,
   among them `run` and `exact` from configs whose `init` is written as a
   pair of `[re, im]` lists and as a pair of complex literals;
@@ -167,6 +169,8 @@ def grid() -> dict[str, tuple[str, ...]]:
                                        "--n", "0,1,1000,4096"),
         "variance-hadamard": ("variance", "--walker", "hadamard", "--init", "1,0",
                               "--n", "1,5,20", "--format", "csv"),
+        "variance-hadamard-large-n": ("variance", "--walker", "hadamard",
+                                      "--n", "1,64,200,500"),
         "config-run": ("run", "--config", "config.json"),
         "config-average": ("average", "--config", "config.json", "--init", "caseI",
                            "--trials", "3000", "--audit-draws", "1000"),
