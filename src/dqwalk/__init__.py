@@ -25,7 +25,6 @@ from .core import (
     QubitState,
     WalkState,
     distribution_of,
-    split_coin,
     summary_stats,
     validate_coin,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "rotation_coin",
     "run_realization",
     "shapira_coin",
-    "split_coin",
     "step",
     "substream",
     "summary_stats",

@@ -55,7 +55,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .core import EPS_UNIT, HADAMARD, Coin, QubitState, validate_coin
-from .streams import substream
+from .streams import MasterStream, substream
 
 #: Below this radius the SU(2) kick uses the series form of sin(r)/r,
 #: 1 - r^2/6, whose relative error at the cutoff is under 1e-16.
@@ -65,7 +65,9 @@ _TWO_PI = 2.0 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 #: Draws `size` coins as an (size, 4) complex array of (a, b, c, d) rows.
-ParameterDraw = Callable[[np.random.Generator, int], np.ndarray]
+#: The generator is named as text, so that importing this module does not
+#: import `numpy.random`.
+ParameterDraw = Callable[["np.random.Generator", int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,9 @@ class UniformDraw:
 
     Calling it draws `transform(rng.random(size))`.  Because the only use
     of the stream is `random()`, callers holding many streams' uniforms at
-    once may apply `transform` to them directly, with the same result.
+    once may apply `transform` to them directly, and any source of the same
+    `random()` draws (`dqwalk.streams.MasterStream`) may stand in for the
+    generator, with the same result.
     """
 
     transform: Callable[[np.ndarray], np.ndarray]
@@ -428,10 +432,12 @@ class MomentReport:
 
 
 def _flag(distance: float, stderr: float, draws: int, exact: bool) -> MomentFlag:
+    # A sampled audit under the minimum is inconclusive even where its
+    # standard error is 0, as it is for one draw.
+    if not exact and draws < _AUDIT_MIN_DRAWS:
+        return "inconclusive"
     if exact or stderr == 0.0:
         return "satisfied" if distance <= 1e-12 else "violated"
-    if draws < _AUDIT_MIN_DRAWS:
-        return "inconclusive"
     return "satisfied" if distance < 4.0 * stderr else "violated"
 
 
@@ -466,7 +472,9 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
     Finite-support ensembles are evaluated exactly (zero standard error);
     otherwise `draws` coins are sampled from the stream for `seed` and
     the flags use a 4-standard-error acceptance band (false-alarm rate
-    about 6e-5 per check).
+    about 6e-5 per check).  A sample of fewer than 100 draws flags both
+    conditions inconclusive.  A `UniformDraw` ensemble takes the stream's
+    draws from `MasterStream`, any other from `substream`: the same bits.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
@@ -480,7 +488,11 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
         stderrs = {name: 0.0 for name in _MOMENT_NAMES}
         exact = True
     else:
-        rng = substream(seed)
+        rng = (
+            MasterStream(seed)
+            if isinstance(ensemble.draw_parameters, UniformDraw)
+            else substream(seed)
+        )
         # Row 0 carries the running sums of the values and of their squared
         # real and imaginary parts into each piece's reduction.  An axis-0
         # sum of a C-ordered array adds its rows one after another, so the
@@ -530,7 +542,7 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
 #: and alpha conj(beta) + conj(alpha) beta = 0.
 CASE_I_DEFAULT = QubitState(_INV_SQRT2, 1j * _INV_SQRT2)
 
-StateDraw = Callable[[np.random.Generator, int], np.ndarray]
+StateDraw = Callable[["np.random.Generator", int], np.ndarray]
 
 
 def _uniform_phase_states(u: np.ndarray) -> np.ndarray:

@@ -435,6 +435,66 @@ class TestMalformedConfig:
         }
 
 
+#: Runs `dqwalk.cli.main` on its arguments and prints whether `numpy.random`
+#: was imported.  The import hook is inherited by forked pool workers, which
+#: report their own imports on stderr.
+NUMPY_RANDOM_PROBE = """
+import os, sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("loaded by numpy")
+    raise SystemExit(0)
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy.random":
+            os.write(2, b"numpy.random imported in %d\\n" % os.getpid())
+        return None
+
+sys.meta_path.insert(0, Probe())
+from dqwalk.cli import main
+code = main(sys.argv[1:])
+print("loaded" if "numpy.random" in sys.modules else "not loaded")
+raise SystemExit(code)
+"""
+
+
+class TestNumpyRandomImport:
+    """Catalog runs whose draws are all uniforms never import `numpy.random`."""
+
+    def probe(self, tmp_path, *args):
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_RANDOM_PROBE, *args, "--out", str(tmp_path / "doc")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "loaded by numpy":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        return proc
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854", "--n", "12"),
+            ("average", "--ensemble", "mackay_uniform", "--init", "caseII", "--n", "10",
+             "--trials", "6000", "--workers", "2", "--audit-draws", "5000"),
+            ("moments", "--ensemble", "ribeiro_uniform", "--draws", "5000"),
+        ],
+        ids=["exact", "average-w2", "moments"],
+    )
+    def test_uniform_draws_leave_numpy_random_out(self, tmp_path, args):
+        proc = self.probe(tmp_path, *args)
+        assert proc.stdout.strip() == "not loaded"
+        assert "numpy.random imported" not in proc.stderr
+
+    def test_shapira_loads_numpy_random(self, tmp_path):
+        proc = self.probe(
+            tmp_path, "average", "--ensemble", "shapira", "--sigma", "0.3", "--n", "6",
+            "--trials", "200", "--audit-draws", "200",
+        )
+        assert proc.stdout.strip() == "loaded"
+
+
 class TestParsing:
     def test_parse_n_list_forms(self):
         assert parse_n_list("12") == [12]

@@ -19,10 +19,10 @@ from dqwalk import (
     distribution_of,
     evolve,
     rotation_coin,
-    split_coin,
     summary_stats,
     validate_coin,
 )
+from dqwalk.core import split_coin
 
 H = 1.0 / math.sqrt(2.0)
 

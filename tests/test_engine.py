@@ -28,9 +28,9 @@ from dqwalk import (
     make_initial_state,
     make_ribeiro_two_point,
     run_realization,
-    split_coin,
     step,
 )
+from dqwalk.core import split_coin
 from dqwalk.engine import WORKSET, _evolve_block, draw_realization
 
 

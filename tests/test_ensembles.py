@@ -60,6 +60,15 @@ def _zero_phase_coins(rng: np.random.Generator, size: int) -> np.ndarray:
 #: A custom phase law: a plain `CoinEnsemble` that declares no moment.
 ZERO_PHASE = CoinEnsemble(name="mackay_zero_phase", draw_parameters=_zero_phase_coins)
 
+def _pauli_x_coins(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The coin [[0, 1], [1, 0]] every draw: its moment values are exact in
+    floating point, so a sampled audit of it has standard errors of 0."""
+    return np.tile(np.array([0, 1, 1, 0], dtype=np.complex128), (size, 1))
+
+
+#: A constant law that only a sampled audit sees as constant.
+PAULI_X = CoinEnsemble(name="pauli_x", draw_parameters=_pauli_x_coins)
+
 #: A real-coin and a complex-coin ensemble without finite support.
 SAMPLED_AUDITS = pytest.mark.parametrize(
     "factory", [make_ribeiro_uniform, lambda: make_shapira(0.3)],
@@ -300,6 +309,21 @@ class TestAuditMoments:
     def test_tiny_sample_is_inconclusive(self):
         report = audit_moments(make_ribeiro_uniform(), draws=10, seed=0)
         assert report.eq_balance == "inconclusive"
+
+    @pytest.mark.parametrize("draws", [1, 2, 99])
+    def test_sample_under_the_minimum_is_inconclusive(self, draws):
+        # One draw has a standard error of 0, which must not turn the
+        # exact 1e-12 rule on; nor must a constant law's zero spread.
+        for ensemble in (make_ribeiro_uniform(), PAULI_X):
+            report = audit_moments(ensemble, draws=draws, seed=0)
+            assert (report.eq_balance, report.eq_cross) == ("inconclusive", "inconclusive")
+
+    def test_zero_spread_at_the_minimum_is_exact(self):
+        # E(a conj c) = 0 with a standard error of 0 passes only by the
+        # exact rule; E|a|^2 = 0 is 1/2 away from balance.
+        report = audit_moments(PAULI_X, draws=100, seed=0)
+        assert set(report.stderrs.values()) == {0.0}
+        assert (report.eq_balance, report.eq_cross) == ("violated", "satisfied")
 
     @pytest.mark.parametrize("draws", [1, 100, 16383, 16384, 100_000, 2**20 + 5])
     @pytest.mark.parametrize("factory", CATALOG)

@@ -32,9 +32,9 @@ from dqwalk import (
     make_mackay,
     make_ribeiro_two_point,
     reconstruct_state,
-    split_coin,
     tv_distance,
 )
+from dqwalk.core import split_coin
 from dqwalk import pathsum
 from dqwalk.pathsum import _PRODUCT, BASIS_LABELS
 from dqwalk.engine import _evolve_block

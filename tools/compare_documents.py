@@ -28,6 +28,11 @@ The grid:
 * `moments` of shapira at 20000 draws, past the 16384 coins from which
   numpy elides temporaries, and of ribeiro_uniform at 1100000 draws,
   past 2^20;
+* `moments` of mackay_uniform at 4095, 4097 and 12289 draws with seed
+  2^32, a two-word master seed, and `average` of ribeiro_uniform with
+  `--audit-draws 4097`: a `UniformDraw` audit computes its stream 4096
+  draws at a time (`dqwalk.streams.MasterStream`), and these end one
+  draw before, one after and a whole round past those boundaries;
 * `exact` for fixed_hadamard in JSON and CSV at n = 12 and in JSON at
   n = 2000 (the one-coin walk at large n), and for ribeiro_two_point
   x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 1 and 2 (0 and 1
@@ -143,6 +148,14 @@ def grid() -> dict[str, tuple[str, ...]]:
     )
     cases["moments-ribeiro_uniform-d1100000"] = (
         "moments", "--ensemble", "ribeiro_uniform", "--draws", "1100000", "--seed", "7",
+    )
+    for draws in ("4095", "4097", "12289"):
+        cases[f"moments-mackay_uniform-d{draws}"] = (
+            "moments", "--ensemble", "mackay_uniform", "--draws", draws, "--seed", str(2**32),
+        )
+    cases["average-ribeiro_uniform-audit4097"] = (
+        "average", "--ensemble", "ribeiro_uniform", "--n", "10", "--trials", "2000",
+        "--audit-draws", "4097", "--seed", "7",
     )
     for init in ("caseI", "0.6,0.8j"):
         for n in ("14", "15"):
