@@ -225,12 +225,13 @@ def _cmd_average(inputs: _Inputs) -> tuple[dict, list[str] | None]:
     trials = inputs.integer("trials", missing="trials is required for average")
     audit_draws = inputs.integer("audit_draws", 100_000)
     workers = inputs.workers()
-    # The audit runs after the average; reject its size before that work.
+    # Also rejected here, so that a bad audit size never reaches the average.
     if audit_draws < 1:
         raise ValueError(f"draws must be at least 1, got {audit_draws}")
-    result = monte_carlo_average(ensemble, init_rule, n, trials, seed, workers=workers)
+    result = monte_carlo_average(
+        ensemble, init_rule, n, trials, seed, workers=workers, audit_draws=audit_draws
+    )
     payload = result.to_json_dict()
-    payload["moment_audit"] = audit_moments(ensemble, audit_draws, seed).to_json_dict()
     rows = result.to_csv_rows() + [
         f"# stderr_max: {result.stderr_max!r}",
         f"# tv_to_binomial: {result.tv_to_binomial!r}",

@@ -119,6 +119,9 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
         # row contiguous, so those buffer copies stay cheap: reading strided
         # rows straight from `abcd` took 0.57-0.69 s against 0.47-0.53 s per
         # 1024-trial block at n=320 (medians of 5, in-process, 2-core Xeon).
+        # Monte Carlo blocks of `UniformDraw` coins hand over (4, q, m)
+        # planes, so this copy also reads contiguous rows; other coins are
+        # (m, q, 4) rows and read with a stride.
         coins = coin_buffer[: q * 4 * m].reshape(q, 4, 1, m)
         np.copyto(coins[:, :, 0], abcd[start:stop].transpose(1, 2, 0))
         # Cells a step does not write must read as zero: the left cells past

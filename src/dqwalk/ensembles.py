@@ -79,6 +79,12 @@ class UniformDraw:
     once may apply `transform` to them directly, and any source of the same
     `random()` draws (`dqwalk.streams.MasterStream`) may stand in for the
     generator, with the same result.
+
+    `transform(u)` returns (u.size, width) rows, row i from u[i] alone, in
+    either memory order.  The catalog's transforms fill one contiguous
+    plane per entry and return its transpose, column-major rows, which
+    Monte Carlo blocks read as planes without a copy; row-major rows are
+    copied into planes, with the same bits.
     """
 
     transform: Callable[[np.ndarray], np.ndarray]
@@ -94,10 +100,11 @@ def _support_arrays(support: tuple[tuple[Coin, float], ...]) -> tuple[np.ndarray
     return rows, weights
 
 
-def _support_coins(u: np.ndarray, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _support_coins(u: np.ndarray, edges: np.ndarray, planes: np.ndarray) -> np.ndarray:
     # Coin k holds the uniforms in [edges[k-1], edges[k]): u < w_0 picks
     # coin 0, and an empty interval (a zero weight) is never picked.
-    return rows.take(np.searchsorted(edges, u, side="right"), axis=0)
+    # `planes` is the (4, k) entries of the support, one row per entry.
+    return planes.take(np.searchsorted(edges, u, side="right"), axis=1).T
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,9 @@ class CoinEnsemble:
         # Uniforms past the last edge, which rounding of the weights' sum
         # may leave below 1, go to the last coin of positive weight.
         last = np.flatnonzero(weights)[-1]
-        draw = UniformDraw(partial(_support_coins, edges=np.cumsum(weights[:last]), rows=rows))
+        draw = UniformDraw(
+            partial(_support_coins, edges=np.cumsum(weights[:last]), planes=rows.T.copy())
+        )
         object.__setattr__(self, "draw_parameters", draw)
 
     def sample(self, rng: np.random.Generator) -> Coin:
@@ -182,12 +191,12 @@ class CoinEnsemble:
 def _rotation_parameters(theta: np.ndarray) -> np.ndarray:
     cos = np.cos(theta)
     sin = np.sin(theta)
-    out = np.empty((theta.size, 4), dtype=np.complex128)
-    out[:, 0] = cos
-    out[:, 1] = sin
-    out[:, 2] = sin
-    out[:, 3] = -cos
-    return out
+    out = np.empty((4, theta.size), dtype=np.complex128)
+    out[0] = cos
+    out[1] = sin
+    out[2] = sin
+    out[3] = -cos
+    return out.T
 
 
 def _uniform_angle(u: np.ndarray) -> np.ndarray:
@@ -243,13 +252,20 @@ def make_ribeiro_two_point(xi: float) -> CoinEnsemble:
 # --- phase coins -----------------------------------------------------------
 
 def _phase_parameters(theta: np.ndarray) -> np.ndarray:
-    phase = np.exp(1j * theta)
-    out = np.empty((theta.size, 4), dtype=np.complex128)
-    out[:, 0] = _INV_SQRT2
-    out[:, 1] = phase * _INV_SQRT2
-    out[:, 2] = np.conj(phase) * _INV_SQRT2
-    out[:, 3] = -_INV_SQRT2
-    return out
+    # The bits of b = e^{i t} (1/sqrt 2) and c = conj(e^{i t}) (1/sqrt 2):
+    # np.cos and np.sin give np.exp(1j t)'s parts, and a complex product with
+    # the real 1/sqrt 2 adds only exact zero products.  c's imaginary part is
+    # 0.0 - s/sqrt 2, which is +0.0 at t = 0 like the complex product's; a
+    # negation would give -0.0.
+    out = np.empty((4, theta.size), dtype=np.complex128)
+    b, c = out[1], out[2]
+    out[0] = _INV_SQRT2
+    np.multiply(np.cos(theta), _INV_SQRT2, out=b.real)
+    np.multiply(np.sin(theta), _INV_SQRT2, out=b.imag)
+    c.real = b.real
+    np.subtract(0.0, b.imag, out=c.imag)
+    out[3] = -_INV_SQRT2
+    return out.T
 
 
 def _mackay_uniform_coins(u: np.ndarray) -> np.ndarray:
@@ -547,10 +563,10 @@ StateDraw = Callable[["np.random.Generator", int], np.ndarray]
 
 def _uniform_phase_states(u: np.ndarray) -> np.ndarray:
     theta = _uniform_angle(u)
-    out = np.empty((u.size, 2), dtype=np.complex128)
-    out[:, 0] = np.cos(theta)
-    out[:, 1] = np.sin(theta)
-    return out
+    out = np.empty((2, u.size), dtype=np.complex128)
+    out[0] = np.cos(theta)
+    out[1] = np.sin(theta)
+    return out.T
 
 
 #: The caseII draw, (cos t, sin t) with t uniform on [0, 2pi): the one

@@ -9,13 +9,17 @@ RUN_SITES trial-sites.  A run draws its per-trial streams (all uniforms
 at once for `UniformDraw` ensembles), evolves all its realizations in one
 vectorized kernel call, and sums each of its blocks' rows.  The kernel
 takes each sub-block's coins only when it steps that sub-block, so no
-array of a whole run's coins is ever built.  Summing a (trials, sites)
+array of a whole run's coins is ever built; a `UniformDraw` makes them in
+step order, one contiguous plane per coin entry.  Summing a (trials, sites)
 array over axis 0 adds the trial rows one after another, in trial order
 (numpy's pairwise summation applies only along a contiguous axis, which
 the trial axis is only at n = 0, with one site).  The
 final reduction over block partials is ordered, so the averaged result
 is bit-identical whether runs go serially or across any number of
-processes, and whatever the run length.
+processes, and whatever the run length.  An average asked for a moment
+audit runs it in the parent process: while a pool's workers run the
+trials, or after the runs when there is no pool.  Its bits do not depend
+on which.
 """
 
 from __future__ import annotations
@@ -30,7 +34,14 @@ import numpy as np
 
 from .core import Coin, Distribution, QubitState, summary_stats
 from .engine import _check_block_norms, _evolve_block
-from .ensembles import CoinEnsemble, InitialStateRule, UniformDraw, make_fixed
+from .ensembles import (
+    CoinEnsemble,
+    InitialStateRule,
+    MomentReport,
+    UniformDraw,
+    audit_moments,
+    make_fixed,
+)
 from .pathsum import binomial_distribution, exact_average
 from .streams import COIN_STREAM, INIT_STREAM, block_uniforms, substream
 
@@ -62,6 +73,9 @@ class AveragedResult:
     trials, divided by sqrt(trials)); `stderr_max` is its maximum over
     sites.  `tv_to_binomial` is the total variation distance between the
     mean distribution and the classical symmetric walk law at the same n.
+    `moment_audit` is the ensemble's moment audit at the same master seed
+    when the average was asked for one, and `to_json_dict` writes it only
+    then.
     """
 
     mean_distribution: Distribution
@@ -71,9 +85,10 @@ class AveragedResult:
     master_seed: int
     tv_to_binomial: float
     digest: str
+    moment_audit: MomentReport | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "n": self.mean_distribution.n,
             "trials": self.trials,
             "seed": self.master_seed,
@@ -82,6 +97,9 @@ class AveragedResult:
             "tv_to_binomial": self.tv_to_binomial,
             "config_digest": self.digest,
         }
+        if self.moment_audit is not None:
+            payload["moment_audit"] = self.moment_audit.to_json_dict()
+        return payload
 
     def to_csv_rows(self) -> list[str]:
         return self.mean_distribution.to_csv_rows()
@@ -114,15 +132,20 @@ def _block_draws(
 
     A `UniformDraw` takes all uniforms from one `block_uniforms` call (8
     bytes per trial and draw) and applies its transform to the trials of
-    each slice; any other draw runs `sample(rng, size)` on each sliced
-    trial's own `substream`.  Both give the same rows bit for bit, whatever
-    the slices.
+    each slice in step order, draw j of every trial before draw j + 1, and
+    reads the rows as (width, size, trials) planes: a view of the
+    column-major rows the catalog's transforms return, a copy of a
+    row-major transform's.  The kernel then copies each step's coin
+    entries from contiguous memory.  Any other draw runs `sample(rng,
+    size)` on each sliced trial's own `substream`.  Both give the same rows
+    bit for bit, whatever the slices.
     """
     if isinstance(draw, UniformDraw):
         u = block_uniforms(master_seed, start, count, stream, size)
 
         def rows(lo: int, hi: int) -> np.ndarray:
-            return draw.transform(u[lo:hi].reshape(-1)).reshape(hi - lo, size, width)
+            planes = draw.transform(u[lo:hi].T.reshape(-1)).T.reshape(width, size, hi - lo)
+            return planes.transpose(2, 1, 0)
     else:
         def rows(lo: int, hi: int) -> np.ndarray:
             out = np.empty((hi - lo, size, width), dtype=np.complex128)
@@ -178,12 +201,20 @@ def monte_carlo_average(
     trials: int,
     master_seed: int,
     workers: int = 1,
+    audit_draws: int | None = None,
 ) -> AveragedResult:
     """Average `trials` independent realizations of the disordered walk.
 
     Trial t draws from the streams (master_seed, t, COIN_STREAM) and
     (master_seed, t, INIT_STREAM), so results are deterministic in all
     arguments and invariant to `workers`.
+
+    Given `audit_draws`, the result carries `audit_moments(ensemble,
+    audit_draws, master_seed)`.  With a process pool the parent runs that
+    audit while the workers run the trials, after every run is submitted
+    (under the fork start method the pool has then forked all its
+    workers); without one it runs after the trials.  The report's bits
+    are the same either way.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -191,17 +222,26 @@ def monte_carlo_average(
         raise ValueError(f"n must be nonnegative, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if audit_draws is not None and audit_draws < 1:
+        raise ValueError(f"draws must be at least 1, got {audit_draws}")
 
     run = max(1, RUN_SITES // (BLOCK_SIZE * (n + 1))) * BLOCK_SIZE
     runs = [
         (ensemble, init_rule, n, master_seed, start, min(run, trials - start))
         for start in range(0, trials, run)
     ]
+
+    def audit() -> MomentReport | None:
+        return None if audit_draws is None else audit_moments(ensemble, audit_draws, master_seed)
+
     if workers == 1 or len(runs) == 1:
         partials = [_mc_block_args(args) for args in runs]
+        report = audit()
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(runs))) as pool:
-            partials = list(pool.map(_mc_block_args, runs))
+            pending = pool.map(_mc_block_args, runs)
+            report = audit()
+            partials = list(pending)
 
     total = np.concatenate([p for p, _ in partials]).sum(axis=0)
     total_sq = np.concatenate([q for _, q in partials]).sum(axis=0)
@@ -231,6 +271,7 @@ def monte_carlo_average(
         master_seed=master_seed,
         tv_to_binomial=tv_distance(mean_distribution, binomial_distribution(n)),
         digest=digest,
+        moment_audit=report,
     )
 
 

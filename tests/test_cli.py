@@ -224,6 +224,27 @@ class TestAverageCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"dqwalk: draws must be at least 1, got {draws}\n"
 
+    @pytest.mark.parametrize(
+        "ensemble", [["mackay_uniform"], ["shapira", "--sigma", "0.5"]], ids=lambda e: e[0]
+    )
+    def test_audit_bytes_do_not_depend_on_workers(self, ensemble, tmp_path):
+        # At n=10 6000 trials are two runs, so two workers audit in the
+        # parent while the pool runs them; one worker audits after them.
+        common = ("--ensemble", *ensemble, "--seed", "11", "--out")
+        audits = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"average-w{workers}.json"
+            proc = run_cli("average", *common, str(out), "--init", "caseII", "--n", "10",
+                           "--trials", "6000", "--workers", workers, "--audit-draws", "5000")
+            assert proc.returncode == 0, proc.stderr
+            audits.append(load_json(out)["result"]["moment_audit"])
+        out = tmp_path / "moments.json"
+        proc = run_cli("moments", *common, str(out), "--draws", "5000")
+        assert proc.returncode == 0, proc.stderr
+        audits.append(load_json(out)["result"])
+        texts = [json.dumps(audit, sort_keys=True, indent=2) for audit in audits]
+        assert texts[0] == texts[1] == texts[2]
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_exits_2(self, sigma):
         proc = run_cli("average", "--ensemble", "shapira", "--sigma", sigma,

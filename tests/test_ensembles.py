@@ -428,7 +428,7 @@ class TestFiniteSupport:
         drawn = ensemble.draw_parameters.transform(u)
         picked = np.where(u < 0.5, 1, 3)
         expected = np.array([[c.a, c.b, c.c, c.d] for c, _ in support])[picked]
-        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(bits(drawn), bits(expected))
 
     def test_sampler_and_support_together_rejected(self):
         with pytest.raises(ValueError, match="not both"):
@@ -460,6 +460,11 @@ def uniforms_with_edges(seed: int) -> np.ndarray:
     return np.concatenate([edges, substream(seed).random(4096)])
 
 
+def bits(rows: np.ndarray) -> np.ndarray:
+    """The bits of complex rows, in row order whatever their memory order."""
+    return np.ascontiguousarray(rows).view(np.uint64)
+
+
 def two_point_oracle(u: np.ndarray, xi: float) -> np.ndarray:
     """The two-point draw written from its angles: the reference for the
     draw derived from the support."""
@@ -488,10 +493,10 @@ class TestDerivedDraws:
         ensemble = make_ribeiro_two_point(xi)
         u = uniforms_with_edges(seed)
         got = ensemble.draw_parameters.transform(u)
-        assert np.array_equal(got.view(np.uint64), two_point_oracle(u, xi).view(np.uint64))
+        assert np.array_equal(bits(got), bits(two_point_oracle(u, xi)))
         sampled = ensemble.sample_batch(substream(seed), 100)
         expected = two_point_oracle(substream(seed).random(100), xi)
-        assert np.array_equal(sampled.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(bits(sampled), bits(expected))
 
     @pytest.mark.parametrize(
         "coin", [HADAMARD, rotation_coin(0.3), shapira_coin(0.1, -0.2, 0.3)], ids=repr
@@ -499,7 +504,94 @@ class TestDerivedDraws:
     def test_fixed_keeps_the_column_fill_bits(self, coin):
         u = uniforms_with_edges(9)
         got = make_fixed(coin).draw_parameters.transform(u)
-        assert np.array_equal(got.view(np.uint64), fixed_oracle(u, coin).view(np.uint64))
+        assert np.array_equal(bits(got), bits(fixed_oracle(u, coin)))
+
+
+def rotation_rows_oracle(u: np.ndarray) -> np.ndarray:
+    """ribeiro_uniform's rows as they were written before, column by column
+    into (size, 4) rows."""
+    theta = 0.0 + 2.0 * math.pi * u
+    cos, sin = np.cos(theta), np.sin(theta)
+    out = np.empty((u.size, 4), dtype=np.complex128)
+    out[:, 0] = cos
+    out[:, 1] = sin
+    out[:, 2] = sin
+    out[:, 3] = -cos
+    return out
+
+
+def phase_rows_oracle(u: np.ndarray) -> np.ndarray:
+    """mackay_uniform's rows as they were written before, from e^{i t}."""
+    h = 1.0 / math.sqrt(2.0)
+    phase = np.exp(1j * (0.0 + 2.0 * math.pi * u))
+    out = np.empty((u.size, 4), dtype=np.complex128)
+    out[:, 0] = h
+    out[:, 1] = phase * h
+    out[:, 2] = np.conj(phase) * h
+    out[:, 3] = -h
+    return out
+
+
+def phase_state_rows_oracle(u: np.ndarray) -> np.ndarray:
+    """caseII's (size, 2) rows as they were written before."""
+    theta = 0.0 + 2.0 * math.pi * u
+    out = np.empty((u.size, 2), dtype=np.complex128)
+    out[:, 0] = np.cos(theta)
+    out[:, 1] = np.sin(theta)
+    return out
+
+
+#: Five coins with zero weights first, between and last.
+ZERO_WEIGHT_SUPPORT = (
+    (rotation_coin(0.1), 0.0), (HADAMARD, 0.25), (rotation_coin(0.2), 0.0),
+    (shapira_coin(0.1, -0.2, 0.3), 0.75), (rotation_coin(0.4), 0.0),
+)
+
+
+def support_rows_oracle(support):
+    """A finite support's rows as they were taken before, row by row."""
+
+    def rows(u: np.ndarray) -> np.ndarray:
+        entries = np.array([[c.a, c.b, c.c, c.d] for c, _ in support], dtype=np.complex128)
+        weights = np.array([w for _, w in support])
+        edges = np.cumsum(weights[: np.flatnonzero(weights)[-1]])
+        return entries.take(np.searchsorted(edges, u, side="right"), axis=0)
+
+    return rows
+
+
+class TestCatalogTransformBits:
+    """The catalog's transforms write their rows plane by plane, and keep the
+    bits of the row formulas they had before (kept here as oracles)."""
+
+    DRAWS = {
+        "ribeiro_uniform": (lambda: make_ribeiro_uniform().draw_parameters, rotation_rows_oracle),
+        "mackay_uniform": (lambda: make_mackay().draw_parameters, phase_rows_oracle),
+        "caseII": (
+            lambda: make_initial_state("caseII").draw_parameters, phase_state_rows_oracle
+        ),
+        "zero_weight_support": (
+            lambda: CoinEnsemble(name="zero", finite_support=ZERO_WEIGHT_SUPPORT).draw_parameters,
+            support_rows_oracle(ZERO_WEIGHT_SUPPORT),
+        ),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(DRAWS)), seed=st.integers(0, 2**64 - 1))
+    @example(name="mackay_uniform", seed=0)
+    def test_rows_keep_the_row_formula_bits(self, name, seed):
+        # The edge uniforms come first: u = 0 gives c's imaginary part +0.0
+        # in the phase coins, where a negation would give -0.0.
+        make_draw, oracle = self.DRAWS[name]
+        u = uniforms_with_edges(seed)
+        got = make_draw().transform(u)
+        want = oracle(u)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_rows_are_column_major(self):
+        for make_draw, _ in self.DRAWS.values():
+            assert make_draw().transform(np.linspace(0.0, 0.9, 7)).flags.f_contiguous
 
 
 class TestFixed:

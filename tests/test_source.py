@@ -1,0 +1,23 @@
+"""The package's own checks hold under `python -O`."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "dqwalk").glob("*.py"))
+
+
+def test_sources_are_found():
+    assert any(path.name == "stats.py" for path in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_assert_statements(path):
+    # `python -O` strips assert statements, so a check written as one
+    # vanishes; the package raises its errors explicitly instead.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements at lines {lines}"

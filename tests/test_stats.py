@@ -338,6 +338,27 @@ class TestSubBlockDraws:
     def test_per_trial_draws(self, source, n, offset, master_seed, start):
         self.check_sub_block_rows(source, n, offset, master_seed, start)
 
+    @pytest.mark.parametrize("n, count", [(0, 3), (10, 1489), (320, 130)])
+    def test_row_major_transform_gives_the_same_rows(self, n, count):
+        # The catalog's transforms return column-major rows, which are read
+        # as planes in place; the same rows in row-major memory are copied.
+        column_major = make_mackay().draw_parameters
+        row_major = UniformDraw(lambda u: np.ascontiguousarray(column_major.transform(u)))
+        assert column_major.transform(np.zeros(3)).flags.f_contiguous
+        assert row_major.transform(np.zeros(3)).flags.c_contiguous
+        rows = kernel_rows(n, count)
+
+        def block(draw):
+            return _block_draws(draw, None, 9, 5, count, COIN_STREAM, n, 4)
+
+        for lo in range(0, count, rows):
+            got, want = block(column_major)[lo : lo + rows], block(row_major)[lo : lo + rows]
+            assert got.shape == want.shape == (min(rows, count - lo), n, 4)
+            assert got.tobytes() == want.tobytes()
+        initial = make_initial_state("caseI").draw_batch(None, count)
+        probs = [_evolve_block(block(draw), initial) for draw in (column_major, row_major)]
+        assert probs[0].tobytes() == probs[1].tobytes()
+
     @pytest.mark.parametrize("n, count", [(0, 3), (1, 9), (10, 1024), (320, 130)])
     @pytest.mark.parametrize("init", ["caseI", "caseII"])
     @pytest.mark.parametrize(
@@ -417,6 +438,90 @@ class TestRuns:
         assert pool_sizes == ([] if pool_size is None else [pool_size])
         assert np.array_equal(pooled.mean_distribution.probs, serial.mean_distribution.probs)
         assert np.array_equal(pooled.stderr, serial.stderr)
+
+
+class TestMomentAudit:
+    """An average's audit runs while its pool works, with the same bits."""
+
+    @staticmethod
+    def spy(monkeypatch, events):
+        audit = dqwalk.stats.audit_moments
+        block = dqwalk.stats._mc_block
+
+        def spied_audit(*args):
+            events.append("audit")
+            return audit(*args)
+
+        def spied_block(*args):
+            events.append("run")
+            return block(*args)
+
+        monkeypatch.setattr(dqwalk.stats, "audit_moments", spied_audit)
+        monkeypatch.setattr(dqwalk.stats, "_mc_block", spied_block)
+
+    def test_pool_audits_between_its_entry_and_exit(self, monkeypatch, pool_sizes):
+        events = []
+        recording_pool = dqwalk.stats.ProcessPoolExecutor
+
+        class EventPool(recording_pool):
+            def __enter__(self):
+                events.append("enter")
+                return super().__enter__()
+
+            def submit(self, fn, /, *args, **kwargs):
+                events.append("submit")
+                return super().submit(fn, *args, **kwargs)
+
+            def map(self, *args, **kwargs):
+                results = super().map(*args, **kwargs)
+
+                def collected():
+                    events.append("collect")
+                    yield from results
+
+                return collected()
+
+            def __exit__(self, *exc):
+                events.append("exit")
+                return super().__exit__(*exc)
+
+        monkeypatch.setattr(dqwalk.stats, "ProcessPoolExecutor", EventPool)
+        self.spy(monkeypatch, events)
+        ensemble, rule = make_mackay(), make_initial_state("caseII")
+        # n=10 runs hold 5120 trials, so 10000 trials are two runs.
+        result = monte_carlo_average(ensemble, rule, 10, 10000, 3, workers=2, audit_draws=5000)
+        assert pool_sizes == [2]
+        assert events == ["enter", "submit", "submit", "audit", "collect", "exit"]
+        assert result.moment_audit == audit_moments(ensemble, 5000, 3)
+
+    def test_serial_average_audits_after_its_runs(self, monkeypatch):
+        events = []
+        self.spy(monkeypatch, events)
+        ensemble, rule = make_mackay(), make_initial_state("caseII")
+        result = monte_carlo_average(ensemble, rule, 10, 10000, 3, workers=1, audit_draws=5000)
+        assert events == ["run", "run", "audit"]
+        assert result.moment_audit == audit_moments(ensemble, 5000, 3)
+
+    def test_no_audit_unless_asked(self, monkeypatch):
+        events = []
+        self.spy(monkeypatch, events)
+        result = monte_carlo_average(make_mackay(), make_initial_state("caseI"), 4, 10, 3)
+        assert events == ["run"]
+        assert result.moment_audit is None
+        assert "moment_audit" not in result.to_json_dict()
+
+    @pytest.mark.parametrize("draws", [0, -5])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_audit_draws_rejected_before_any_run(self, draws, workers, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a run started before the audit size was checked")
+
+        monkeypatch.setattr(dqwalk.stats, "_mc_block", forbidden)
+        with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
+            monte_carlo_average(
+                make_mackay(), make_initial_state("caseII"), 10, 10000, 3,
+                workers=workers, audit_draws=draws,
+            )
 
 
 class TestTvDistance:

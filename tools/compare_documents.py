@@ -33,6 +33,11 @@ The grid:
   `--audit-draws 4097`: a `UniformDraw` audit computes its stream 4096
   draws at a time (`dqwalk.streams.MasterStream`), and these end one
   draw before, one after and a whole round past those boundaries;
+* `average` of mackay_uniform x caseII at n = 320 with 1100 trials on 2
+  workers (51-trial kernel sub-blocks, two runs, and the default audit
+  running in the parent while the pool works) and of ribeiro_two_point x
+  caseII at n = 63 with 2100 trials on 2 workers (a finite support's coin
+  planes across three runs in a pool);
 * `exact` for fixed_hadamard in JSON and CSV at n = 12 and in JSON at
   n = 2000 (the one-coin walk at large n), and for ribeiro_two_point
   x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 1 and 2 (0 and 1
@@ -153,6 +158,16 @@ def grid() -> dict[str, tuple[str, ...]]:
         cases[f"moments-mackay_uniform-d{draws}"] = (
             "moments", "--ensemble", "mackay_uniform", "--draws", draws, "--seed", str(2**32),
         )
+    # 51-trial kernel sub-blocks, two runs and the audit overlapping the pool;
+    # and a finite support's coin planes across three runs in a pool.
+    cases["average-mackay_uniform-n320-w2"] = (
+        "average", "--ensemble", "mackay_uniform", "--init", "caseII", "--n", "320",
+        "--trials", "1100", "--workers", "2",
+    )
+    cases["average-ribeiro_two_point-n63-w2"] = (
+        "average", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
+        "--init", "caseII", "--n", "63", "--trials", "2100", "--workers", "2",
+    )
     cases["average-ribeiro_uniform-audit4097"] = (
         "average", "--ensemble", "ribeiro_uniform", "--n", "10", "--trials", "2000",
         "--audit-draws", "4097", "--seed", "7",
