@@ -28,7 +28,7 @@ from .core import (
     summary_stats,
     validate_coin,
 )
-from .engine import WalkRun, evolve, run_realization, step
+from .engine import WalkRun, evolve, step
 from .ensembles import (
     CASE_I_DEFAULT,
     CoinEnsemble,
@@ -62,6 +62,7 @@ from .stats import (
     DeterministicWalker,
     VarianceScan,
     monte_carlo_average,
+    run_realization,
     tv_distance,
     variance_scan,
 )

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import HADAMARD, Coin, NumericalDriftError, QubitState
-from .engine import draw_realization, evolve, run_realization
+from .engine import evolve
 from .ensembles import (
     CoinEnsemble,
     InitialStateRule,
@@ -48,7 +48,9 @@ from .stats import (
     ClassicalWalker,
     DeterministicWalker,
     config_digest,
+    draw_realization,
     monte_carlo_average,
+    run_realization,
     variance_scan,
 )
 
@@ -224,12 +226,8 @@ def _cmd_average(inputs: _Inputs) -> tuple[dict, list[str] | None]:
     ensemble, init_rule, n, seed = inputs.ensemble(), inputs.init(), inputs.n(), inputs.seed()
     trials = inputs.integer("trials", missing="trials is required for average")
     audit_draws = inputs.integer("audit_draws", 100_000)
-    workers = inputs.workers()
-    # Also rejected here, so that a bad audit size never reaches the average.
-    if audit_draws < 1:
-        raise ValueError(f"draws must be at least 1, got {audit_draws}")
     result = monte_carlo_average(
-        ensemble, init_rule, n, trials, seed, workers=workers, audit_draws=audit_draws
+        ensemble, init_rule, n, trials, seed, workers=inputs.workers(), audit_draws=audit_draws
     )
     payload = result.to_json_dict()
     rows = result.to_csv_rows() + [
@@ -296,7 +294,7 @@ def _cmd_variance(inputs: _Inputs) -> tuple[dict, list[str] | None]:
         init_rule = inputs.init()
         if init_rule.state is None:
             raise ValueError("the deterministic hadamard walker needs a fixed initial state")
-        walker = DeterministicWalker(HADAMARD, init_rule.draw())
+        walker = DeterministicWalker(HADAMARD, init_rule.state)
     elif walker_name == "averaged":
         ensemble, init_rule = inputs.ensemble(), inputs.init()
         trials = inputs.integer("trials", missing="trials is required for the averaged walker")

@@ -35,8 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import Coin, Distribution, QubitState, WalkState, check_norms, distribution_of
-from .ensembles import CoinEnsemble, InitialStateRule
-from .streams import COIN_STREAM, INIT_STREAM, substream
 
 _ZERO = np.zeros(1, dtype=np.complex128)
 
@@ -159,44 +157,3 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
 def _check_block_norms(probs: np.ndarray, n: int) -> None:
     """The drift check of each row of a (trials, n+1) block of probabilities."""
     check_norms(probs.sum(axis=1), n)
-
-
-def draw_realization(
-    ensemble: CoinEnsemble,
-    init_rule: InitialStateRule,
-    n: int,
-    master_seed: int,
-    trial: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A realization's (n, 4) coin rows and (1, 2) initial state.
-
-    The coin sequence comes from the stream (master_seed, trial,
-    COIN_STREAM) and the initial state, when random, from (master_seed,
-    trial, INIT_STREAM).
-    """
-    abcd = ensemble.sample_batch(substream(master_seed, trial, COIN_STREAM), n)
-    initial = init_rule.draw_batch(
-        substream(master_seed, trial, INIT_STREAM) if init_rule.state is None else None, 1
-    )
-    return abcd, initial
-
-
-def run_realization(
-    ensemble: CoinEnsemble,
-    init_rule: InitialStateRule,
-    n: int,
-    master_seed: int,
-    trial: int = 0,
-) -> Distribution:
-    """One seeded realization: draw n coins and an initial state, evolve.
-
-    The draws are `draw_realization`'s.  Identical inputs give identical
-    output, and the result equals the corresponding trial inside
-    `monte_carlo_average` bit for bit.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    abcd, initial = draw_realization(ensemble, init_rule, n, master_seed, trial)
-    probs = _evolve_block(abcd[np.newaxis, :, :], initial)
-    _check_block_norms(probs, n)
-    return Distribution(n, probs[0])

@@ -32,8 +32,8 @@ Catalog
   deterministic walk, useful as a counterexample)
 
 Sampling is deterministic per stream.  Normal variates use numpy's
-`Generator.normal` (ziggurat method); batch draws consume the underlying
-bit stream exactly like the same number of single draws, so per-draw
+`Generator.normal` (ziggurat method); a batch of `size` draws consumes
+the underlying bit stream exactly like `size` batches of one, so per-draw
 reproducibility holds no matter how draws are grouped.  Ensembles whose
 draws are a transform of uniforms (`UniformDraw`: ribeiro_uniform,
 mackay_uniform, every finite-support ensemble, and the caseII initial
@@ -167,11 +167,6 @@ class CoinEnsemble:
             partial(_support_coins, edges=np.cumsum(weights[:last]), planes=rows.T.copy())
         )
         object.__setattr__(self, "draw_parameters", draw)
-
-    def sample(self, rng: np.random.Generator) -> Coin:
-        """One coin; consumes the stream exactly like sample_batch(rng, 1)."""
-        a, b, c, d = self.draw_parameters(rng, 1)[0]
-        return Coin(complex(a), complex(b), complex(c), complex(d))
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, 4) array of coin entries (a, b, c, d) per row."""
@@ -579,9 +574,10 @@ class InitialStateRule:
     """Fixed or random initial chirality state of a walk realization.
 
     A rule is given by exactly one of a fixed `state` or a random
-    `draw_parameters`, which draws one state per realization
-    (vectorizable via `draw_batch`); construction raises ValueError when
-    both or neither is given.  Fixed rules never touch the stream.
+    `draw_parameters`, which draws one state per realization;
+    construction raises ValueError when both or neither is given.
+    `draw_batch` gives either as rows, and a fixed rule never touches the
+    stream.
     """
 
     state: QubitState | None = None
@@ -590,14 +586,6 @@ class InitialStateRule:
     def __post_init__(self) -> None:
         if (self.state is None) == (self.draw_parameters is None):
             raise ValueError("an initial-state rule needs a state or draw_parameters, not both")
-
-    def draw(self, rng: np.random.Generator | None = None) -> QubitState:
-        if self.state is not None:
-            return self.state
-        if rng is None:
-            raise ValueError("a random initial-state rule needs a generator")
-        alpha, beta = self.draw_parameters(rng, 1)[0]
-        return QubitState(complex(alpha), complex(beta))
 
     def draw_batch(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
         """(size, 2) array of (alpha, beta) rows."""

@@ -258,7 +258,7 @@ def exact_average(
         return Distribution(0, np.ones(1))
 
     entry_rows, weights = _support_arrays(ensemble.finite_support)
-    phi = init_rule.draw()
+    phi = init_rule.state
     if len(entry_rows) == 1:
         states, steps = np.array([[phi.alpha, phi.beta]], dtype=np.complex128), n
     else:

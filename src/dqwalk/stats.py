@@ -1,4 +1,11 @@
-"""Monte Carlo averaging over walk realizations and comparison metrics.
+"""Seeded walk realizations, their Monte Carlo average, and comparison metrics.
+
+Trial t of a master seed draws its coins from the stream (seed, t,
+COIN_STREAM) and its initial state, when random, from (seed, t,
+INIT_STREAM).  `draw_realization` takes one trial's draws from its own
+generators and `run_realization` evolves them; a Monte Carlo run takes
+the same draws for many trials at once (`_block_draws`), so a single
+realization equals its trial inside an average bit for bit.
 
 Trials are partitioned into fixed-size blocks keyed by absolute trial
 index, and the block is the unit of reduction: each block's partial is
@@ -136,16 +143,19 @@ def _block_draws(
     reads the rows as (width, size, trials) planes: a view of the
     column-major rows the catalog's transforms return, a copy of a
     row-major transform's.  The kernel then copies each step's coin
-    entries from contiguous memory.  Any other draw runs `sample(rng,
-    size)` on each sliced trial's own `substream`.  Both give the same rows
-    bit for bit, whatever the slices.
+    entries from contiguous memory; a transform whose rows are not
+    (trials * size, width) raises ValueError, as `sample_batch` does.  Any
+    other draw runs `sample(rng, size)` on each sliced trial's own
+    `substream`.  Both give the same rows bit for bit, whatever the slices.
     """
     if isinstance(draw, UniformDraw):
         u = block_uniforms(master_seed, start, count, stream, size)
 
         def rows(lo: int, hi: int) -> np.ndarray:
-            planes = draw.transform(u[lo:hi].T.reshape(-1)).T.reshape(width, size, hi - lo)
-            return planes.transpose(2, 1, 0)
+            out, expected = draw.transform(u[lo:hi].T.reshape(-1)), ((hi - lo) * size, width)
+            if out.shape != expected:
+                raise ValueError(f"draw_parameters returned shape {out.shape}, expected {expected}")
+            return out.T.reshape(width, size, hi - lo).transpose(2, 1, 0)
     else:
         def rows(lo: int, hi: int) -> np.ndarray:
             out = np.empty((hi - lo, size, width), dtype=np.complex128)
@@ -192,6 +202,47 @@ def _mc_block(
 
 def _mc_block_args(args) -> tuple[np.ndarray, np.ndarray]:
     return _mc_block(*args)
+
+
+def draw_realization(
+    ensemble: CoinEnsemble,
+    init_rule: InitialStateRule,
+    n: int,
+    master_seed: int,
+    trial: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A realization's (n, 4) coin rows and (1, 2) initial state.
+
+    The coin sequence comes from the stream (master_seed, trial,
+    COIN_STREAM) and the initial state, when random, from (master_seed,
+    trial, INIT_STREAM): the rows `_mc_block` draws for trial `trial`.
+    """
+    abcd = ensemble.sample_batch(substream(master_seed, trial, COIN_STREAM), n)
+    initial = init_rule.draw_batch(
+        substream(master_seed, trial, INIT_STREAM) if init_rule.state is None else None, 1
+    )
+    return abcd, initial
+
+
+def run_realization(
+    ensemble: CoinEnsemble,
+    init_rule: InitialStateRule,
+    n: int,
+    master_seed: int,
+    trial: int = 0,
+) -> Distribution:
+    """One seeded realization: draw n coins and an initial state, evolve.
+
+    The draws are `draw_realization`'s.  Identical inputs give identical
+    output, and the result equals the corresponding trial inside
+    `monte_carlo_average` bit for bit.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    abcd, initial = draw_realization(ensemble, init_rule, n, master_seed, trial)
+    probs = _evolve_block(abcd[np.newaxis, :, :], initial)
+    _check_block_norms(probs, n)
+    return Distribution(n, probs[0])
 
 
 def monte_carlo_average(

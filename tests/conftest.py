@@ -45,7 +45,7 @@ def make_haar() -> CoinEnsemble:
 
 
 def haar_coin(rng: np.random.Generator) -> Coin:
-    return make_haar().sample(rng)
+    return Coin(*map(complex, make_haar().sample_batch(rng, 1)[0]))
 
 
 def haar_coins(rng: np.random.Generator, count: int) -> list[Coin]:

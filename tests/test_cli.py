@@ -208,12 +208,12 @@ class TestAverageCommand:
     def test_bad_audit_draws_exit_2_before_the_average(
         self, source, draws, tmp_path, monkeypatch, capsys
     ):
-        import dqwalk.cli as cli_module
+        import dqwalk.stats
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the average ran before the audit size was checked")
+            raise AssertionError("a run started before the audit size was checked")
 
-        monkeypatch.setattr(cli_module, "monte_carlo_average", forbidden)
+        monkeypatch.setattr(dqwalk.stats, "_mc_block", forbidden)
         argv = ["average", "--n", "200", "--trials", "4096"]
         if source == "flag":
             argv += ["--audit-draws", str(draws)]
@@ -514,6 +514,49 @@ class TestNumpyRandomImport:
             "--trials", "200", "--audit-draws", "200",
         )
         assert proc.stdout.strip() == "loaded"
+
+
+def simd_settings() -> list[str]:
+    """`NPY_DISABLE_CPU_FEATURES` values, one per dispatch target this CPU has.
+
+    Each disables that target and every later one it has, so numpy falls
+    back to the loops of the target before it.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return [" ".join(targets[k:]) for k in range(len(targets))]
+
+
+class TestSimdTargets:
+    """Real-coin documents have the same bytes on every SIMD target numpy can take.
+
+    Complex-coin documents do not: numpy's complex multiply rounds
+    differently on some targets, which README states.
+    """
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("average", "--ensemble", "ribeiro_uniform", "--init", "caseII", "--n", "10",
+             "--trials", "3000", "--seed", "7", "--audit-draws", "5000"),
+            ("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854", "--init", "0.6,0.8j",
+             "--n", "40"),
+        ],
+        ids=["average", "exact"],
+    )
+    def test_real_coin_documents_do_not_depend_on_the_target(self, args):
+        settings = simd_settings()
+        if not settings:
+            pytest.skip("numpy has no dispatch target to disable on this CPU")
+        documents = {}
+        for setting in ["", *settings]:
+            proc = run_cli(*args, env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=setting))
+            assert proc.returncode == 0, proc.stderr
+            documents[setting] = proc.stdout
+        assert [s for s, doc in documents.items() if doc != documents[""]] == []
 
 
 class TestParsing:

@@ -31,7 +31,8 @@ from dqwalk import (
     step,
 )
 from dqwalk.core import split_coin
-from dqwalk.engine import WORKSET, _evolve_block, draw_realization
+from dqwalk.engine import WORKSET, _evolve_block
+from dqwalk.stats import draw_realization
 
 
 def brute_force_distribution(phi: QubitState, coins) -> dict[int, float]:

@@ -131,7 +131,7 @@ class TestRibeiroTwoPoint:
 
 class TestMackay:
     def test_zero_phase_is_hadamard(self):
-        coin = ZERO_PHASE.sample(substream(0))
+        coin = Coin(*map(complex, ZERO_PHASE.sample_batch(substream(0), 1)[0]))
         assert coin == HADAMARD
 
     def test_uniform_phase_mean_vanishes(self):
@@ -188,7 +188,7 @@ class TestShapira:
         ensemble = make_shapira(SQRT3_HALF)
         rng = substream(8)
         for _ in range(200):
-            assert validate_coin(ensemble.sample(rng)).ok
+            assert validate_coin(Coin(*map(complex, ensemble.sample_batch(rng, 1)[0]))).ok
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_domain_errors(self, sigma):
@@ -381,9 +381,7 @@ class TestCatalogContracts:
         ensemble = factory()
         batch = ensemble.sample_batch(substream(33), 16)
         rng = substream(33)
-        singles = np.array(
-            [[c.a, c.b, c.c, c.d] for c in (ensemble.sample(rng) for _ in range(16))]
-        )
+        singles = np.concatenate([ensemble.sample_batch(rng, 1) for _ in range(16)])
         assert np.array_equal(batch, singles)
 
     @pytest.mark.parametrize("factory", CATALOG)
@@ -616,7 +614,7 @@ class TestFixed:
 
 class TestInitialStates:
     def test_case_i_default_is_balanced(self):
-        phi = make_initial_state("caseI").draw()
+        phi = make_initial_state("caseI").state
         assert phi == CASE_I_DEFAULT
         balance = phi.alpha * phi.beta.conjugate() + phi.alpha.conjugate() * phi.beta
         assert balance == 0
@@ -634,7 +632,7 @@ class TestInitialStates:
         rule = make_initial_state((1, 0))
         assert rule == InitialStateRule(state=QubitState(1, 0))
         assert rule.draw_parameters is None
-        assert rule.draw().alpha == 1 + 0j
+        assert rule.state.alpha == 1 + 0j
 
     def test_record_is_read_off_the_state(self):
         # A fixed rule records its own state, never a caseI it was not given.
@@ -651,10 +649,10 @@ class TestInitialStates:
         # Equal to (1, i)/sqrt 2 under `==`, but not bit for bit, so the
         # record must keep the pair for the config to rebuild the bits.
         rule = make_initial_state(spec)
-        assert rule.draw() == CASE_I_DEFAULT
+        assert rule.state == CASE_I_DEFAULT
         assert isinstance(rule.config(), list)
         again = make_initial_state(json.loads(json.dumps(rule.config())))
-        bits = [np.array([s.alpha, s.beta]).view(np.uint64) for s in (rule.draw(), again.draw())]
+        bits = [np.array([s.alpha, s.beta]).view(np.uint64) for s in (rule.state, again.state)]
         assert np.array_equal(*bits)
 
     def test_record_is_read_off_the_draw(self):
@@ -704,7 +702,7 @@ class TestInitialStates:
         rule = make_initial_state((math.cos(t) * complex(math.cos(u), math.sin(u)),
                                    math.sin(t) * complex(math.cos(v), math.sin(v))))
         again = make_initial_state(json.loads(json.dumps(rule.config())))
-        bits = [np.array([s.alpha, s.beta]).view(np.uint64) for s in (rule.draw(), again.draw())]
+        bits = [np.array([s.alpha, s.beta]).view(np.uint64) for s in (rule.state, again.state)]
         assert np.array_equal(*bits)
 
     @pytest.mark.parametrize(
@@ -739,7 +737,7 @@ class TestInitialStates:
 
     def test_random_rule_requires_generator(self):
         with pytest.raises(ValueError):
-            make_initial_state("caseII").draw()
+            make_initial_state("caseII").draw_batch(None, 1)
 
     @pytest.mark.parametrize(
         "fields",

@@ -1,4 +1,4 @@
-"""The package's own checks hold under `python -O`."""
+"""The package's sources: checks that hold under `python -O`, and the layering."""
 
 from __future__ import annotations
 
@@ -21,3 +21,17 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def test_engine_imports_only_core():
+    # The kernel sits below every draw: seeding, ensembles and statistics
+    # build on it, never the other way round.
+    path = next(path for path in SOURCES if path.name == "engine.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("dqwalk")):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names if alias.name.startswith("dqwalk"))
+    assert imported == {".core"}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from functools import partial
 
@@ -358,6 +359,24 @@ class TestSubBlockDraws:
         initial = make_initial_state("caseI").draw_batch(None, count)
         probs = [_evolve_block(block(draw), initial) for draw in (column_major, row_major)]
         assert probs[0].tobytes() == probs[1].tobytes()
+
+    @pytest.mark.parametrize("route", ["average", "run", "audit"])
+    def test_transform_of_the_wrong_shape_is_rejected(self, route):
+        # (4, N) planes hold as many entries as the (N, 4) rows, so only
+        # their shape tells them apart; every route reads them as rows.
+        planes = CoinEnsemble(
+            "planes", UniformDraw(lambda u: make_mackay().draw_parameters.transform(u).T)
+        )
+        rule = make_initial_state("caseI")
+        calls = {
+            "average": (100, lambda: monte_carlo_average(planes, rule, 10, 10, 3, workers=1)),
+            "run": (10, lambda: run_realization(planes, rule, 10, 3)),
+            "audit": (10, lambda: audit_moments(planes, 10, 3)),
+        }
+        size, call = calls[route]
+        message = f"draw_parameters returned shape (4, {size}), expected ({size}, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
     @pytest.mark.parametrize("n, count", [(0, 3), (1, 9), (10, 1024), (320, 130)])
     @pytest.mark.parametrize("init", ["caseI", "caseII"])

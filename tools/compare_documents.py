@@ -20,6 +20,9 @@ The grid:
 * `variance --walker averaged` at 1 and 2 workers;
 * `run` and `coeffs` for every catalog ensemble x caseI/caseII/0.6,0.8j,
   and `moments` for every catalog ensemble;
+* `run` of mackay_uniform x caseII at n = 0 and `coeffs` of shapira x
+  caseII at n = 1, at seed 2^64 - 1: a single realization's draws at
+  their edges, no coin with a random state and one per-trial coin;
 * `average`, `run` and `coeffs` of ribeiro_two_point at xi = 0.2 and at
   xi = pi/2, whose second support angle is pi: the draws of a finite
   ensemble are derived from its support, and these pin them at two more
@@ -135,6 +138,14 @@ def grid() -> dict[str, tuple[str, ...]]:
         cases[f"moments-{ensemble}"] = (
             "moments", "--ensemble", ensemble, *params, "--draws", "5000", "--seed", "7",
         )
+    cases["run-mackay_uniform-caseII-n0"] = (
+        "run", "--ensemble", "mackay_uniform", "--init", "caseII", "--n", "0",
+        "--seed", str(2**64 - 1),
+    )
+    cases["coeffs-shapira-caseII-n1"] = (
+        "coeffs", "--ensemble", "shapira", *ENSEMBLES["shapira"], "--init", "caseII", "--n", "1",
+        "--seed", str(2**64 - 1),
+    )
     for xi in ("0.2", "1.5707963267948966"):
         two_point = ("--ensemble", "ribeiro_two_point", "--xi", xi, "--seed", "7")
         cases[f"average-ribeiro_two_point-xi{xi}"] = (
