@@ -123,7 +123,7 @@ class CoinValidation:
         return max(self.residuals.values())
 
 
-def validate_coin(coin: Coin, tol: float = EPS_UNIT) -> CoinValidation:
+def validate_coin(coin: Coin) -> CoinValidation:
     """Check the unitarity relations of `coin` and report residuals.
 
     Constraints, with delta = ad - bc:
@@ -145,10 +145,10 @@ def validate_coin(coin: Coin, tol: float = EPS_UNIT) -> CoinValidation:
         "c_from_det": abs(c + delta * b.conjugate()),
         "d_from_det": abs(d - delta * a.conjugate()),
     }
-    return CoinValidation(residuals=residuals, tol=tol)
+    return CoinValidation(residuals=residuals, tol=EPS_UNIT)
 
 
-def split_coin(coin: Coin, tol: float = EPS_UNIT) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def split_coin(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split a valid coin U into its (P, Q, R, S) one-row matrices.
 
     P + Q = U; P carries the top row (left mover) and Q the bottom row
@@ -157,11 +157,11 @@ def split_coin(coin: Coin, tol: float = EPS_UNIT) -> tuple[np.ndarray, np.ndarra
     Raises
     ------
     ValueError
-        If the coin fails `validate_coin` at tolerance `tol`.
+        If the coin fails `validate_coin`.
     """
-    report = validate_coin(coin, tol)
+    report = validate_coin(coin)
     if not report.ok:
-        raise ValueError(f"coin is not unitary within {tol}: failed {report.failures()}")
+        raise ValueError(f"coin is not unitary within {EPS_UNIT}: failed {report.failures()}")
     zero = 0.0 + 0.0j
     p = np.array([[coin.a, coin.b], [zero, zero]], dtype=np.complex128)
     q = np.array([[zero, zero], [coin.c, coin.d]], dtype=np.complex128)

@@ -588,7 +588,7 @@ class InitialStateRule:
             raise ValueError("an initial-state rule needs a state or draw_parameters, not both")
 
     def draw_batch(self, rng: np.random.Generator | None, size: int) -> np.ndarray:
-        """(size, 2) array of (alpha, beta) rows."""
+        """(size, 2) array of (alpha, beta) rows; a draw of another shape raises ValueError."""
         if self.state is not None:
             out = np.empty((size, 2), dtype=np.complex128)
             out[:, 0] = self.state.alpha
@@ -596,7 +596,10 @@ class InitialStateRule:
             return out
         if rng is None:
             raise ValueError("a random initial-state rule needs a generator")
-        return np.asarray(self.draw_parameters(rng, size), dtype=np.complex128)
+        out = np.asarray(self.draw_parameters(rng, size), dtype=np.complex128)
+        if out.shape != (size, 2):
+            raise ValueError(f"draw_parameters returned shape {out.shape}, expected ({size}, 2)")
+        return out
 
     def config(self):
         """The rule as a config records it, read off its value.

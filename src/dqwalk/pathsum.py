@@ -19,8 +19,10 @@ product, every amplitude transfer operator decomposes as
 
 and a forward dynamic program over sites carries the (p, q, r, s)
 4-vectors instead of the exponentially many individual path products.
-The coefficients only involve coins 2..n; coin 1 is absorbed into the
-basis and never read.
+A walk step only ever left-multiplies by P (move left) or Q (move
+right), so `coefficients` steps with the table's P and Q rows, eight
+updates written out.  The coefficients only involve coins 2..n; coin 1
+is absorbed into the basis and never read.
 
 `exact_average` turns a finite-support coin ensemble into the exactly
 weighted ensemble average of the walk, and `binomial_law` gives the
@@ -41,30 +43,6 @@ import numpy as np
 from .core import Coin, Distribution, QubitState, WalkState
 from .engine import _check_block_norms, _evolve_block
 from .ensembles import CoinEnsemble, InitialStateRule, _support_arrays
-
-BASIS_LABELS = ("P", "Q", "R", "S")
-
-_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)}
-
-# (left label, right label) -> (coin entry of the left factor, result label)
-_PRODUCT = {
-    ("P", "P"): ("a", "P"), ("P", "Q"): ("b", "R"), ("P", "R"): ("a", "R"), ("P", "S"): ("b", "P"),
-    ("Q", "P"): ("c", "S"), ("Q", "Q"): ("d", "Q"), ("Q", "R"): ("c", "Q"), ("Q", "S"): ("d", "S"),
-    ("R", "P"): ("c", "P"), ("R", "Q"): ("d", "R"), ("R", "R"): ("c", "R"), ("R", "S"): ("d", "P"),
-    ("S", "P"): ("a", "S"), ("S", "Q"): ("b", "Q"), ("S", "R"): ("a", "Q"), ("S", "S"): ("b", "S"),
-}
-
-# Update rules of the coefficient DP, derived from the table rows for the
-# two factors that actually occur in the evolution (P: move left, Q: move
-# right): (source column, coin entry, destination column).
-_APPLY = {
-    left: [
-        (_INDEX[right], entry, _INDEX[result])
-        for right in BASIS_LABELS
-        for entry, result in [_PRODUCT[(left, right)]]
-    ]
-    for left in ("P", "Q")
-}
 
 
 @dataclass(frozen=True)
@@ -97,23 +75,19 @@ class PathCoefficients:
         return complex(p), complex(q), complex(r), complex(s)
 
     def to_json_dict(self) -> dict:
-        sites = []
-        for i, k in enumerate(self.sites()):
-            row = self.coeffs[i]
-            flat = []
-            for z in row:
-                flat.extend([z.real, z.imag])
-            sites.append([int(k), flat])
-        return {"n": self.n, "sites": sites}
+        # A C-contiguous complex128 row viewed as float64 is (re, im) pairs.
+        rows = self.coeffs.view(np.float64).tolist()
+        return {"n": self.n, "sites": [[int(k), row] for k, row in zip(self.sites(), rows)]}
 
 
 def coefficients(coins, n: int) -> PathCoefficients:
     """Forward DP for the basis coefficients after n steps.
 
     Seeds at step 1 with P_1 at site -1 and Q_1 at site +1, then for each
-    later step left-multiplies the decomposition arriving from the right
-    neighbour by P and from the left neighbour by Q, using the product
-    table.  Only coins 2..n are read; the result is invariant under any
+    later step m left-multiplies the decomposition arriving from the right
+    neighbour by P_m and from the left neighbour by Q_m: the product
+    table's P and Q rows, written out as eight updates in the table's
+    order.  Only coins 2..n are read; the result is invariant under any
     replacement of coin 1.
     """
     if n < 1:
@@ -121,15 +95,23 @@ def coefficients(coins, n: int) -> PathCoefficients:
     if len(coins) < n:
         raise ValueError(f"need at least {n} coins, got {len(coins)}")
     current = np.zeros((2, 4), dtype=np.complex128)
-    current[0, _INDEX["P"]] = 1.0
-    current[1, _INDEX["Q"]] = 1.0
+    current[0, 0] = 1.0
+    current[1, 1] = 1.0
     for m in range(2, n + 1):
         coin = coins[m - 1]
+        a, b, c, d = coin.a, coin.b, coin.c, coin.d
+        p, q, r, s = current.T
+        # Each product is added on its own: summing a pair first rounds
+        # differently.  Columns are P, Q, R, S.
         new = np.zeros((m + 1, 4), dtype=np.complex128)
-        for src, entry, dst in _APPLY["P"]:
-            new[0:m, dst] += getattr(coin, entry) * current[:, src]
-        for src, entry, dst in _APPLY["Q"]:
-            new[1 : m + 1, dst] += getattr(coin, entry) * current[:, src]
+        new[:m, 0] += a * p  # P P = a P
+        new[:m, 2] += b * q  # P Q = b R
+        new[:m, 2] += a * r  # P R = a R
+        new[:m, 0] += b * s  # P S = b P
+        new[1:, 3] += c * p  # Q P = c S
+        new[1:, 1] += d * q  # Q Q = d Q
+        new[1:, 1] += c * r  # Q R = c Q
+        new[1:, 3] += d * s  # Q S = d S
         current = new
     return PathCoefficients(n, current)
 
@@ -142,10 +124,7 @@ def reconstruct_state(pc: PathCoefficients, first_coin: Coin, phi: QubitState) -
     to phi must reproduce the engine amplitudes at every site.
     """
     a1, b1, c1, d1 = first_coin.a, first_coin.b, first_coin.c, first_coin.d
-    p = pc.coeffs[:, 0]
-    q = pc.coeffs[:, 1]
-    r = pc.coeffs[:, 2]
-    s = pc.coeffs[:, 3]
+    p, q, r, s = pc.coeffs.T
     psi_l = (p * a1 + r * c1) * phi.alpha + (p * b1 + r * d1) * phi.beta
     psi_r = (q * c1 + s * a1) * phi.alpha + (q * d1 + s * b1) * phi.beta
     return WalkState(pc.n, psi_l, psi_r)

@@ -32,12 +32,23 @@ from dqwalk import (
     make_mackay,
     make_ribeiro_two_point,
     reconstruct_state,
+    rotation_coin,
     tv_distance,
 )
 from dqwalk.core import split_coin
 from dqwalk import pathsum
-from dqwalk.pathsum import _PRODUCT, BASIS_LABELS
 from dqwalk.engine import _evolve_block
+
+BASIS_LABELS = ("P", "Q", "R", "S")
+
+# The product table of `dqwalk.pathsum`'s docstring: (left label, right
+# label) -> (coin entry of the left factor, result label).
+_PRODUCT = {
+    ("P", "P"): ("a", "P"), ("P", "Q"): ("b", "R"), ("P", "R"): ("a", "R"), ("P", "S"): ("b", "P"),
+    ("Q", "P"): ("c", "S"), ("Q", "Q"): ("d", "Q"), ("Q", "R"): ("c", "Q"), ("Q", "S"): ("d", "S"),
+    ("R", "P"): ("c", "P"), ("R", "Q"): ("d", "R"), ("R", "R"): ("c", "R"), ("R", "S"): ("d", "P"),
+    ("S", "P"): ("a", "S"), ("S", "Q"): ("b", "Q"), ("S", "R"): ("a", "Q"), ("S", "S"): ("b", "S"),
+}
 
 
 def product_table(left: str, coin: Coin, right: str) -> tuple[complex, str]:
@@ -185,6 +196,52 @@ class TestCoefficients:
         assert payload["n"] == 2
         assert [site for site, _ in payload["sites"]] == [-2, 0, 2]
         assert all(len(flat) == 8 for _, flat in payload["sites"])
+
+
+def table_coefficients(coins, n: int) -> np.ndarray:
+    """The coefficient DP interpreted from `_PRODUCT`, one update per entry.
+
+    Step m adds, for each right label in P, Q, R, S order, the table's P
+    row into sites 0..m-1 and then its Q row into sites 1..m, each product
+    on its own into a zeroed (m+1, 4) array.
+    """
+    index = {label: i for i, label in enumerate(BASIS_LABELS)}
+    current = np.zeros((2, 4), dtype=np.complex128)
+    current[0, index["P"]] = 1.0
+    current[1, index["Q"]] = 1.0
+    for m in range(2, n + 1):
+        coin = coins[m - 1]
+        new = np.zeros((m + 1, 4), dtype=np.complex128)
+        for left, rows in (("P", slice(0, m)), ("Q", slice(1, m + 1))):
+            for right in BASIS_LABELS:
+                entry, result = _PRODUCT[(left, right)]
+                new[rows, index[result]] += getattr(coin, entry) * current[:, index[right]]
+        current = new
+    return current
+
+
+# Coins with zero entries, whose products are exact zeros or signed zeros.
+ZERO_ENTRY_COINS = (Coin(0, 1, 1, 0), Coin(1, 0, 0, -1), rotation_coin(0.0), Coin(0, 1j, 1j, 0))
+
+
+@st.composite
+def coin_sequences(draw):
+    """(coins, n): n in 1..60, each coin Haar or one of ZERO_ENTRY_COINS."""
+    n = draw(st.integers(1, 60))
+    haar = haar_coins(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    picks = draw(st.lists(st.integers(0, len(ZERO_ENTRY_COINS)), min_size=n, max_size=n))
+    coins = [ZERO_ENTRY_COINS[k] if k < len(ZERO_ENTRY_COINS) else w for k, w in zip(picks, haar)]
+    return coins, n
+
+
+class TestCoefficientBits:
+    @settings(max_examples=200, deadline=None)
+    @given(case=coin_sequences())
+    def test_step_gives_the_table_loop_bits(self, case):
+        # Summing a pair of products before adding it would change the
+        # bits, most often next to zero entries.
+        coins, n = case
+        assert coefficients(coins, n).coeffs.tobytes() == table_coefficients(coins, n).tobytes()
 
 
 class TestTermCount:

@@ -378,6 +378,29 @@ class TestSubBlockDraws:
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
 
+    @pytest.mark.parametrize("route", ["average", "run"])
+    @pytest.mark.parametrize("draw", ["uniform_planes", "planes", "flat"])
+    def test_initial_state_draw_of_the_wrong_shape_is_rejected(self, draw, route):
+        # (2, N) planes hold as many entries as (N, 2) rows, and N flat values
+        # broadcast into a row's alpha and beta: only the shape tells them apart.
+        case_ii = make_initial_state("caseII").draw_parameters
+        rule = InitialStateRule(draw_parameters={
+            "uniform_planes": UniformDraw(lambda u: case_ii.transform(u).T),
+            "planes": lambda rng, size: case_ii(rng, size).T,
+            "flat": lambda rng, size: case_ii(rng, size)[:, 0],
+        }[draw])
+        # An average draws a `UniformDraw`'s states for its 10 trials at
+        # once, and any other draw's one trial at a time.
+        size = 10 if (draw, route) == ("uniform_planes", "average") else 1
+        shape = (size,) if draw == "flat" else (2, size)
+        message = f"draw_parameters returned shape {shape}, expected ({size}, 2)"
+        call = {
+            "average": lambda: monte_carlo_average(make_fixed(), rule, 4, 10, 3, workers=1),
+            "run": lambda: run_realization(make_fixed(), rule, 4, 3),
+        }[route]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
     @pytest.mark.parametrize("n, count", [(0, 3), (1, 9), (10, 1024), (320, 130)])
     @pytest.mark.parametrize("init", ["caseI", "caseII"])
     @pytest.mark.parametrize(

@@ -23,6 +23,9 @@ The grid:
 * `run` of mackay_uniform x caseII at n = 0 and `coeffs` of shapira x
   caseII at n = 1, at seed 2^64 - 1: a single realization's draws at
   their edges, no coin with a random state and one per-trial coin;
+* `coeffs` at n = 200 and seed 7 of mackay_uniform x caseII, shapira x
+  0.6,0.8j and ribeiro_two_point x caseI: the path-sum recursion's bits
+  over a long walk of complex, Gaussian-phase and two-point coins;
 * `average`, `run` and `coeffs` of ribeiro_two_point at xi = 0.2 and at
   xi = pi/2, whose second support angle is pi: the draws of a finite
   ensemble are derived from its support, and these pin them at two more
@@ -146,6 +149,13 @@ def grid() -> dict[str, tuple[str, ...]]:
         "coeffs", "--ensemble", "shapira", *ENSEMBLES["shapira"], "--init", "caseII", "--n", "1",
         "--seed", str(2**64 - 1),
     )
+    for ensemble, init in (
+        ("mackay_uniform", "caseII"), ("shapira", "0.6,0.8j"), ("ribeiro_two_point", "caseI"),
+    ):
+        cases[f"coeffs-{ensemble}-{init}-n200"] = (
+            "coeffs", "--ensemble", ensemble, *ENSEMBLES[ensemble], "--init", init,
+            "--n", "200", "--seed", "7",
+        )
     for xi in ("0.2", "1.5707963267948966"):
         two_point = ("--ensemble", "ribeiro_two_point", "--xi", xi, "--seed", "7")
         cases[f"average-ribeiro_two_point-xi{xi}"] = (
