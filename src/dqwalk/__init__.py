@@ -28,7 +28,7 @@ from .core import (
     summary_stats,
     validate_coin,
 )
-from .engine import WalkRun, evolve, step
+from .engine import WalkRun, evolve
 from .ensembles import (
     CASE_I_DEFAULT,
     CoinEnsemble,
@@ -44,7 +44,6 @@ from .ensembles import (
     make_shapira,
     mu_shapira,
     rotation_coin,
-    shapira_coin,
 )
 from .pathsum import (
     EnumerationInfeasibleError,
@@ -113,8 +112,6 @@ __all__ = [
     "reconstruct_state",
     "rotation_coin",
     "run_realization",
-    "shapira_coin",
-    "step",
     "substream",
     "summary_stats",
     "tv_distance",

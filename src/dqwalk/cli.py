@@ -9,8 +9,9 @@ command reads each input through one resolver (`_Inputs`): flag >
 the config block; --workers, --out and --format never enter it.  A
 command returns its result and CSV rows, and `main` writes the document.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical drift,
-4 exact average of an ensemble without finite support.
+Exit codes: 0 success, 2 configuration error (a run too large for
+memory among them), 3 numerical drift, 4 exact average of an ensemble
+without finite support.
 """
 
 from __future__ import annotations
@@ -376,7 +377,7 @@ def main(argv=None) -> int:
     except NumericalDriftError as exc:
         print(f"dqwalk: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"dqwalk: {exc}", file=sys.stderr)
         return 2
     return 0

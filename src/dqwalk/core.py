@@ -3,15 +3,7 @@
 A walk step is driven by a 2x2 complex unitary coin acting on the two
 chirality components (left and right movers).  This module holds the coin
 type and its validity checks, qubit and walk states, probability
-distributions over sites, and the coin's split into one-row matrices:
-
-    P = [[a, b], [0, 0]]   amplitude routed one site to the left
-    Q = [[0, 0], [c, d]]   amplitude routed one site to the right
-    R = [[c, d], [0, 0]]   bottom row lifted to the top slot
-    S = [[0, 0], [a, b]]   top row dropped to the bottom slot
-
-P and Q drive the evolution; R and S complete the orthonormal basis used
-by the path-sum coefficient algebra (see `dqwalk.pathsum`).
+distributions over sites, and the drift check of the evolution.
 
 All types are immutable after construction and safe to share across
 workers.
@@ -80,11 +72,6 @@ class Coin:
             object.__setattr__(self, name, z)
 
     @property
-    def matrix(self) -> np.ndarray:
-        """Dense 2x2 complex128 copy of the coin."""
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.complex128)
-
-    @property
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
 
@@ -102,15 +89,15 @@ class CoinValidation:
     The checked set (column norms, column orthogonality, determinant
     modulus, and the reconstruction of the bottom row from the top one)
     is sufficient for unitarity: the reconstruction relations plus
-    |det| = 1 force the row norms and orthogonality as well.
+    |det| = 1 force the row norms and orthogonality as well.  A
+    constraint passes when its residual is at most EPS_UNIT.
     """
 
     residuals: Mapping[str, float]
-    tol: float
 
     @property
     def passed(self) -> dict[str, bool]:
-        return {name: r <= self.tol for name, r in self.residuals.items()}
+        return {name: r <= EPS_UNIT for name, r in self.residuals.items()}
 
     @property
     def ok(self) -> bool:
@@ -118,9 +105,6 @@ class CoinValidation:
 
     def failures(self) -> list[str]:
         return [name for name, good in self.passed.items() if not good]
-
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
 
 
 def validate_coin(coin: Coin) -> CoinValidation:
@@ -145,29 +129,7 @@ def validate_coin(coin: Coin) -> CoinValidation:
         "c_from_det": abs(c + delta * b.conjugate()),
         "d_from_det": abs(d - delta * a.conjugate()),
     }
-    return CoinValidation(residuals=residuals, tol=EPS_UNIT)
-
-
-def split_coin(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a valid coin U into its (P, Q, R, S) one-row matrices.
-
-    P + Q = U; P carries the top row (left mover) and Q the bottom row
-    (right mover).  R and S swap the rows into the opposite slots.
-
-    Raises
-    ------
-    ValueError
-        If the coin fails `validate_coin`.
-    """
-    report = validate_coin(coin)
-    if not report.ok:
-        raise ValueError(f"coin is not unitary within {EPS_UNIT}: failed {report.failures()}")
-    zero = 0.0 + 0.0j
-    p = np.array([[coin.a, coin.b], [zero, zero]], dtype=np.complex128)
-    q = np.array([[zero, zero], [coin.c, coin.d]], dtype=np.complex128)
-    r = np.array([[coin.c, coin.d], [zero, zero]], dtype=np.complex128)
-    s = np.array([[zero, zero], [coin.a, coin.b]], dtype=np.complex128)
-    return p, q, r, s
+    return CoinValidation(residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -223,21 +185,6 @@ class WalkState:
         object.__setattr__(self, "psi_l", _frozen_array(self.psi_l, np.complex128, length, "psi_l"))
         object.__setattr__(self, "psi_r", _frozen_array(self.psi_r, np.complex128, length, "psi_r"))
 
-    @classmethod
-    def from_qubit(cls, phi: QubitState) -> "WalkState":
-        """The step-0 state: `phi` localized at the origin."""
-        return cls(0, np.array([phi.alpha]), np.array([phi.beta]))
-
-    def sites(self) -> np.ndarray:
-        return np.arange(-self.step, self.step + 1, 2)
-
-    def amplitude(self, k: int) -> tuple[complex, complex]:
-        """(left, right) amplitude pair at site k; zero off the support."""
-        if abs(k) > self.step or (self.step + k) % 2 != 0:
-            return (0.0 + 0.0j, 0.0 + 0.0j)
-        i = (k + self.step) // 2
-        return (complex(self.psi_l[i]), complex(self.psi_r[i]))
-
     def norm_sq(self) -> float:
         p = self.psi_l.real**2 + self.psi_l.imag**2 + self.psi_r.real**2 + self.psi_r.imag**2
         return float(p.sum())
@@ -261,16 +208,6 @@ class Distribution:
         if np.any(arr < 0.0):
             raise ValueError("probabilities must be nonnegative")
         object.__setattr__(self, "probs", arr)
-
-    @classmethod
-    def from_mapping(cls, n: int, mass: Mapping[int, float]) -> "Distribution":
-        """Build from a site -> probability mapping (missing sites are zero)."""
-        probs = np.zeros(n + 1)
-        for k, p in mass.items():
-            if abs(k) > n or (n + k) % 2 != 0:
-                raise ValueError(f"site {k} is outside the parity support at n={n}")
-            probs[(k + n) // 2] = p
-        return cls(n, probs)
 
     def sites(self) -> np.ndarray:
         return np.arange(-self.n, self.n + 1, 2)

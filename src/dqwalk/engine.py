@@ -1,7 +1,9 @@
 """Time evolution of the walk on the integer line.
 
-One step splits the coin U into its left-moving part P and right-moving
-part Q and routes amplitude accordingly: the new amplitude at site k is
+One step routes the top row of the coin U = [[a, b], [c, d]] one site
+to the left and its bottom row one site to the right: with
+P = [[a, b], [0, 0]] and Q = [[0, 0], [c, d]], the new amplitude at
+site k is
 
     psi'_k = Q psi_{k-1} + P psi_{k+1}
 
@@ -10,7 +12,7 @@ The support after n steps is the parity-respecting segment
 unitary for every horizon.
 
 The private block kernel `_evolve_block` evolves many realizations at
-once with the same elementwise arithmetic as `step`, which keeps single
+once with the same elementwise arithmetic as `evolve`, which keeps single
 runs and Monte Carlo trials bit-identical.  It steps the trials in
 sub-blocks whose size is derived from n alone, in amplitude buffers
 allocated once per call.  A trial's arithmetic does not depend on the
@@ -39,23 +41,10 @@ from .core import Coin, Distribution, QubitState, WalkState, check_norms, distri
 _ZERO = np.zeros(1, dtype=np.complex128)
 
 
-def step(state: WalkState, coin: Coin) -> WalkState:
-    """Advance one step under `coin`, growing the support by one site each side."""
-    left = coin.a * state.psi_l + coin.b * state.psi_r
-    right = coin.c * state.psi_l + coin.d * state.psi_r
-    psi_l = np.concatenate([left, _ZERO])
-    psi_r = np.concatenate([_ZERO, right])
-    new = WalkState(state.step + 1, psi_l, psi_r)
-    check_norms(new.norm_sq(), new.step)
-    return new
-
-
 @dataclass(frozen=True)
 class WalkRun:
-    """One realization: initial state, its coin sequence, and the final state."""
+    """The final state of one realization."""
 
-    initial: QubitState
-    coins: tuple[Coin, ...]
     final: WalkState
 
     def distribution(self) -> Distribution:
@@ -63,11 +52,20 @@ class WalkRun:
 
 
 def evolve(initial: QubitState, coins: Sequence[Coin]) -> WalkRun:
-    """Apply `coins` in order to the origin-localized state `initial`."""
-    state = WalkState.from_qubit(initial)
+    """Apply `coins` in order to the origin-localized state `initial`.
+
+    Each step grows the support by one site each side, and the drift
+    check (`check_norms`) runs after every step.
+    """
+    state = WalkState(0, np.array([initial.alpha]), np.array([initial.beta]))
     for coin in coins:
-        state = step(state, coin)
-    return WalkRun(initial=initial, coins=tuple(coins), final=state)
+        left = coin.a * state.psi_l + coin.b * state.psi_r
+        right = coin.c * state.psi_l + coin.d * state.psi_r
+        state = WalkState(
+            state.step + 1, np.concatenate([left, _ZERO]), np.concatenate([_ZERO, right])
+        )
+        check_norms(state.norm_sq(), state.step)
+    return WalkRun(final=state)
 
 
 #: Bytes of amplitude working set per kernel sub-block: the left, two right
@@ -133,7 +131,7 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
             w = w0 + j
             lw, rw, tw, r_out = l[:w], r[:w], t[:w], r_next[1 : w + 1]
             # The right-moving part c*l + d*r goes to r_next, the left-moving
-            # part a*l + b*r back to l.  The products keep `step`'s operand
+            # part a*l + b*r back to l.  The products keep `evolve`'s operand
             # order (coin entry first): numpy's complex multiply may fuse a
             # product into a sum, so swapping operands can change the last bit.
             np.multiply(c, lw, out=r_out)

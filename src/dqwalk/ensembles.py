@@ -93,6 +93,14 @@ class UniformDraw:
         return self.transform(rng.random(size))
 
 
+def _draw_rows(out, shape: tuple[int, ...]) -> np.ndarray:
+    """A draw's rows as a complex128 array; ValueError unless of `shape`."""
+    out = np.asarray(out, dtype=np.complex128)
+    if out.shape != shape:
+        raise ValueError(f"draw_parameters returned shape {out.shape}, expected {shape}")
+    return out
+
+
 def _support_arrays(support: tuple[tuple[Coin, float], ...]) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 4) complex (a, b, c, d) rows and (k,) weights of a finite support."""
     rows = np.array([[c.a, c.b, c.c, c.d] for c, _ in support], dtype=np.complex128)
@@ -172,10 +180,7 @@ class CoinEnsemble:
         """(size, 4) array of coin entries (a, b, c, d) per row."""
         if size < 0:
             raise ValueError(f"size must be nonnegative, got {size}")
-        out = np.asarray(self.draw_parameters(rng, size), dtype=np.complex128)
-        if out.shape != (size, 4):
-            raise ValueError(f"draw_parameters returned shape {out.shape}, expected ({size}, 4)")
-        return out
+        return _draw_rows(self.draw_parameters(rng, size), (size, 4))
 
     def config(self) -> dict:
         return {"ensemble": self.name, "params": dict(self.params)}
@@ -310,12 +315,6 @@ def _su2_kick_parameters(w: np.ndarray) -> np.ndarray:
 
 def _draw_shapira(rng: np.random.Generator, size: int, sigma: float) -> np.ndarray:
     return _su2_kick_parameters(rng.normal(0.0, sigma, size=(size, 3)))
-
-
-def shapira_coin(x: float, y: float, z: float) -> Coin:
-    """The perturbed Hadamard coin for one explicit kick vector (x, y, z)."""
-    a, b, c, d = _su2_kick_parameters(np.array([[x, y, z]], dtype=np.float64))[0]
-    return Coin(complex(a), complex(b), complex(c), complex(d))
 
 
 def mu_shapira(sigma: float) -> float:
@@ -596,10 +595,7 @@ class InitialStateRule:
             return out
         if rng is None:
             raise ValueError("a random initial-state rule needs a generator")
-        out = np.asarray(self.draw_parameters(rng, size), dtype=np.complex128)
-        if out.shape != (size, 2):
-            raise ValueError(f"draw_parameters returned shape {out.shape}, expected ({size}, 2)")
-        return out
+        return _draw_rows(self.draw_parameters(rng, size), (size, 2))
 
     def config(self):
         """The rule as a config records it, read off its value.

@@ -2,8 +2,15 @@
 
 The amplitude at site k after n steps is a sum over all n-step
 left/right move sequences of ordered products of the one-row matrices
-P_j and Q_j.  Products of the four one-row matrices P, Q, R, S close
-under left multiplication up to a scalar coin entry:
+P_j and Q_j of the coins U_j = [[a, b], [c, d]].  With
+
+    P = [[a, b], [0, 0]]   amplitude routed one site to the left
+    Q = [[0, 0], [c, d]]   amplitude routed one site to the right
+    R = [[c, d], [0, 0]]   bottom row lifted to the top slot
+    S = [[0, 0], [a, b]]   top row dropped to the bottom slot
+
+(P + Q = U), products of the four one-row matrices close under left
+multiplication up to a scalar coin entry:
 
           P_n     Q_n     R_n     S_n
     P_m   a P_n   b R_n   a R_n   b P_n

@@ -46,6 +46,7 @@ from .ensembles import (
     InitialStateRule,
     MomentReport,
     UniformDraw,
+    _draw_rows,
     audit_moments,
     make_fixed,
 )
@@ -152,9 +153,7 @@ def _block_draws(
         u = block_uniforms(master_seed, start, count, stream, size)
 
         def rows(lo: int, hi: int) -> np.ndarray:
-            out, expected = draw.transform(u[lo:hi].T.reshape(-1)), ((hi - lo) * size, width)
-            if out.shape != expected:
-                raise ValueError(f"draw_parameters returned shape {out.shape}, expected {expected}")
+            out = _draw_rows(draw.transform(u[lo:hi].T.reshape(-1)), ((hi - lo) * size, width))
             return out.T.reshape(width, size, hi - lo).transpose(2, 1, 0)
     else:
         def rows(lo: int, hi: int) -> np.ndarray:
@@ -368,9 +367,6 @@ class VarianceScan:
 
     walker: str
     rows: tuple[tuple[int, float], ...]
-
-    def variances(self) -> dict[int, float]:
-        return {n: v for n, v in self.rows}
 
     def to_json_dict(self) -> dict:
         return {"walker": self.walker, "rows": [[n, v] for n, v in self.rows]}

@@ -1,4 +1,6 @@
-"""Shared test helpers: generic random unitary coins and a recording process pool."""
+"""Shared test helpers: generic random unitary coins, a recording process pool,
+and two oracles, the one-row split of a coin and the perturbed Hadamard
+coin of one explicit kick vector."""
 
 from __future__ import annotations
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 import dqwalk.stats
-from dqwalk import Coin, CoinEnsemble
+from dqwalk import EPS_UNIT, Coin, CoinEnsemble, validate_coin
+from dqwalk.ensembles import _su2_kick_parameters
 
 
 @pytest.fixture
@@ -56,3 +59,31 @@ def make_haar_mixture(seed: int, weights) -> CoinEnsemble:
     """A finite ensemble of len(weights) Haar coins, given by its support alone."""
     coins = haar_coins(np.random.default_rng(seed), len(weights))
     return CoinEnsemble(name="haar_mixture", finite_support=tuple(zip(coins, weights)))
+
+
+def split_coin(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split a valid coin U into its (P, Q, R, S) one-row matrices.
+
+    P + Q = U; P carries the top row (left mover) and Q the bottom row
+    (right mover).  R and S swap the rows into the opposite slots.
+
+    Raises
+    ------
+    ValueError
+        If the coin fails `validate_coin`.
+    """
+    report = validate_coin(coin)
+    if not report.ok:
+        raise ValueError(f"coin is not unitary within {EPS_UNIT}: failed {report.failures()}")
+    zero = 0.0 + 0.0j
+    p = np.array([[coin.a, coin.b], [zero, zero]], dtype=np.complex128)
+    q = np.array([[zero, zero], [coin.c, coin.d]], dtype=np.complex128)
+    r = np.array([[coin.c, coin.d], [zero, zero]], dtype=np.complex128)
+    s = np.array([[zero, zero], [coin.a, coin.b]], dtype=np.complex128)
+    return p, q, r, s
+
+
+def shapira_coin(x: float, y: float, z: float) -> Coin:
+    """The perturbed Hadamard coin for one explicit kick vector (x, y, z)."""
+    a, b, c, d = _su2_kick_parameters(np.array([[x, y, z]], dtype=np.float64))[0]
+    return Coin(complex(a), complex(b), complex(c), complex(d))

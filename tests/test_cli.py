@@ -254,6 +254,24 @@ class TestAverageCommand:
         assert "Warning" not in proc.stderr
 
 
+class TestTooLargeForMemory:
+    # Each request is larger than the 2^47-byte user address space of a
+    # 64-bit process, so its allocation fails at once and touches no memory.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854", "--n", "10000000"),
+            ("average", "--n", str(10**15), "--trials", "1"),
+            ("run", "--n", str(10**15)),
+        ],
+        ids=["exact", "average", "run"],
+    )
+    def test_exits_2(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("dqwalk: Unable to allocate"), proc.stderr
+
+
 class TestMomentsCommand:
     def test_shapira_estimate_matches_closed_form(self, tmp_path):
         out = tmp_path / "moments.json"

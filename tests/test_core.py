@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import haar_coin
+from conftest import haar_coin, split_coin
 from dqwalk import (
     EPS_UNIT,
     HADAMARD,
@@ -22,7 +22,6 @@ from dqwalk import (
     summary_stats,
     validate_coin,
 )
-from dqwalk.core import split_coin
 
 H = 1.0 / math.sqrt(2.0)
 
@@ -31,7 +30,7 @@ class TestValidateCoin:
     def test_hadamard_passes_with_tiny_residuals(self):
         report = validate_coin(HADAMARD)
         assert report.ok
-        assert report.max_residual() < 1e-15
+        assert max(report.residuals.values()) < 1e-15
 
     def test_constructed_violation_is_rejected(self):
         report = validate_coin(Coin(1, 1, 0, 0))
@@ -79,7 +78,7 @@ class TestSplitCoin:
         for _ in range(50):
             coin = haar_coin(rng)
             p, q, _, _ = split_coin(coin)
-            np.testing.assert_array_equal(p + q, coin.matrix)
+            np.testing.assert_array_equal(p + q, [[coin.a, coin.b], [coin.c, coin.d]])
 
     def test_split_projector_identities(self):
         rng = np.random.default_rng(4)
@@ -112,18 +111,21 @@ class TestQubitState:
 
 class TestWalkState:
     def test_initial_state_layout(self):
-        state = WalkState.from_qubit(QubitState(1, 0))
+        state = evolve(QubitState(1, 0), []).final
         assert state.step == 0
-        assert list(state.sites()) == [0]
-        assert state.amplitude(0) == (1 + 0j, 0j)
+        assert state.psi_l.tolist() == [1 + 0j]
+        assert state.psi_r.tolist() == [0j]
 
     def test_off_support_amplitudes_are_zero(self):
-        state = WalkState.from_qubit(QubitState(1, 0))
-        assert state.amplitude(1) == (0j, 0j)
-        assert state.amplitude(-2) == (0j, 0j)
+        # Only the n+1 sites of the walk's parity are allocated, and the
+        # one step's outer cells hold no amplitude of the other chirality.
+        state = evolve(QubitState(1, 0), [HADAMARD]).final
+        assert state.psi_l.shape == state.psi_r.shape == (2,)
+        assert state.psi_l[1] == 0j
+        assert state.psi_r[0] == 0j
 
     def test_arrays_are_frozen(self):
-        state = WalkState.from_qubit(QubitState(1, 0))
+        state = evolve(QubitState(1, 0), []).final
         with pytest.raises(ValueError):
             state.psi_l[0] = 5.0
 
@@ -134,7 +136,7 @@ class TestWalkState:
 
 class TestDistributionOf:
     def test_initial_state_is_point_mass(self):
-        dist = distribution_of(WalkState.from_qubit(QubitState(1, 0)))
+        dist = distribution_of(WalkState(0, np.array([1 + 0j]), np.array([0j])))
         assert dict(dist.items()) == {0: 1.0}
 
     def test_one_hadamard_step_splits_evenly(self):
@@ -155,23 +157,17 @@ class TestDistributionOf:
 
 
 class TestDistribution:
-    def test_from_mapping_checks_parity(self):
-        with pytest.raises(ValueError):
-            Distribution.from_mapping(2, {1: 1.0})
-        with pytest.raises(ValueError):
-            Distribution.from_mapping(2, {4: 1.0})
-
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             Distribution(1, np.array([-0.1, 1.1]))
 
     def test_prob_off_support_is_zero(self):
-        dist = Distribution.from_mapping(2, {-2: 0.25, 0: 0.5, 2: 0.25})
+        dist = Distribution(2, np.array([0.25, 0.5, 0.25]))
         assert dist.prob(1) == 0.0
         assert dist.prob(6) == 0.0
 
     def test_json_round_trip_layout(self):
-        dist = Distribution.from_mapping(2, {-2: 0.25, 0: 0.5, 2: 0.25})
+        dist = Distribution(2, np.array([0.25, 0.5, 0.25]))
         payload = dist.to_json_dict()
         assert payload == {"n": 2, "mass": [[-2, 0.25], [0, 0.5], [2, 0.25]]}
         rows = dist.to_csv_rows()
@@ -181,7 +177,7 @@ class TestDistribution:
 
 class TestSummaryStats:
     def test_two_point_distribution(self):
-        dist = Distribution.from_mapping(1, {-1: 0.5, 1: 0.5})
+        dist = Distribution(1, np.array([0.5, 0.5]))
         mean, variance = summary_stats(dist)
         assert mean == 0.0
         assert variance == 1.0

@@ -15,22 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqwalk
-from conftest import _draw_haar, haar_coins
+from conftest import _draw_haar, haar_coins, split_coin
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
     Coin,
+    NumericalDriftError,
     QubitState,
-    WalkState,
     distribution_of,
     evolve,
     make_fixed,
     make_initial_state,
     make_ribeiro_two_point,
     run_realization,
-    step,
 )
-from dqwalk.core import split_coin
 from dqwalk.engine import WORKSET, _evolve_block
 from dqwalk.stats import draw_realization
 
@@ -55,38 +53,45 @@ def brute_force_distribution(phi: QubitState, coins) -> dict[int, float]:
     return {k: float(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2) for k, v in amps.items()}
 
 
+def amplitude(state, k: int) -> tuple[complex, complex]:
+    """The (left, right) amplitude pair of `state` at site k of its support."""
+    i = (k + state.step) // 2
+    return complex(state.psi_l[i]), complex(state.psi_r[i])
+
+
 class TestStep:
     def test_single_step_routes_p_left_and_q_right(self):
         rng = np.random.default_rng(0)
         (coin,) = haar_coins(rng, 1)
         phi = QubitState(0.6, 0.8j)
-        state = step(WalkState.from_qubit(phi), coin)
+        state = evolve(phi, [coin]).final
         p, q, _, _ = split_coin(coin)
+        # Sites -1 and 1 only: site 0 has the other parity and is not stored.
+        assert state.psi_l.shape == state.psi_r.shape == (2,)
         np.testing.assert_allclose(
-            np.array(state.amplitude(-1)), p @ phi.vector, atol=1e-15
+            np.array(amplitude(state, -1)), p @ phi.vector, atol=1e-15
         )
         np.testing.assert_allclose(
-            np.array(state.amplitude(1)), q @ phi.vector, atol=1e-15
+            np.array(amplitude(state, 1)), q @ phi.vector, atol=1e-15
         )
-        assert state.amplitude(0) == (0j, 0j)
 
     def test_two_steps_interfere_at_origin(self):
         rng = np.random.default_rng(1)
         c1, c2 = haar_coins(rng, 2)
         phi = QubitState(1, 0)
-        state = step(step(WalkState.from_qubit(phi), c1), c2)
+        state = evolve(phi, [c1, c2]).final
         p1, q1, _, _ = split_coin(c1)
         p2, q2, _, _ = split_coin(c2)
         expected = (p2 @ q1 + q2 @ p1) @ phi.vector
-        np.testing.assert_allclose(np.array(state.amplitude(0)), expected, atol=1e-15)
+        np.testing.assert_allclose(np.array(amplitude(state, 0)), expected, atol=1e-15)
 
     def test_identity_coin_is_a_pure_shift(self):
         coin = Coin(1, 0, 0, 1)
         phi = QubitState(0.6, 0.8)
-        state = step(step(WalkState.from_qubit(phi), coin), coin)
-        assert state.amplitude(-2) == (0.6 + 0j, 0j)
-        assert state.amplitude(2) == (0j, 0.8 + 0j)
-        assert state.amplitude(0) == (0j, 0j)
+        state = evolve(phi, [coin, coin]).final
+        assert amplitude(state, -2) == (0.6 + 0j, 0j)
+        assert amplitude(state, 2) == (0j, 0.8 + 0j)
+        assert amplitude(state, 0) == (0j, 0j)
 
     def test_drift_check_survives_optimized_mode(self):
         # Under -O every assert is stripped; the drift check must still raise.
@@ -110,6 +115,12 @@ class TestStep:
 
 
 class TestEvolve:
+    def test_drift_is_checked_after_every_step(self):
+        # The second coin undoes the first one's growth, so the final norm
+        # is 1 again; only a check after each step sees the drift.
+        with pytest.raises(NumericalDriftError, match="at step 1"):
+            evolve(QubitState(1, 0), [Coin(2, 0, 0, 2), Coin(0.5, 0, 0, 0.5)])
+
     def test_zero_steps(self):
         run = evolve(QubitState(1, 0), [])
         assert dict(run.distribution().items()) == {0: 1.0}

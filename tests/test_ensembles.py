@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dqwalk
+from conftest import shapira_coin
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
@@ -34,7 +35,6 @@ from dqwalk import (
     make_shapira,
     mu_shapira,
     rotation_coin,
-    shapira_coin,
     substream,
     validate_coin,
 )

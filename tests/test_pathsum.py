@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _draw_haar, haar_coins, make_haar
+from conftest import _draw_haar, haar_coins, make_haar, split_coin
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
@@ -35,7 +35,6 @@ from dqwalk import (
     rotation_coin,
     tv_distance,
 )
-from dqwalk.core import split_coin
 from dqwalk import pathsum
 from dqwalk.engine import _evolve_block
 

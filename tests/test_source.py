@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "dqwalk").glob("*.py"))
+import dqwalk
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "dqwalk").glob("*.py"))
 
 
 def test_sources_are_found():
@@ -35,3 +39,23 @@ def test_engine_imports_only_core():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names if alias.name.startswith("dqwalk"))
     assert imported == {".core"}
+
+
+def test_every_export_is_used():
+    # A name the package exports is one it computes with or documents: it
+    # appears in another module than `__init__.py`, off the line that
+    # defines it, or in README.md.  Test oracles live in the tests.
+    readme = (ROOT / "README.md").read_text()
+    modules = [path.read_text() for path in SOURCES if path.name != "__init__.py"]
+    unused = []
+    for name in dqwalk.__all__:
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^\s*((def|class)\s+{name}\b|{name}\s*(:[^=]*)?=)")
+        used = word.search(readme) or any(
+            word.search(line) and not definition.match(line)
+            for text in modules
+            for line in text.splitlines()
+        )
+        if not used:
+            unused.append(name)
+    assert unused == []

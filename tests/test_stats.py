@@ -572,8 +572,8 @@ class TestTvDistance:
         assert tv_distance(d, d) == 0.0
 
     def test_disjoint_point_masses(self):
-        d1 = Distribution.from_mapping(1, {-1: 1.0})
-        d2 = Distribution.from_mapping(1, {1: 1.0})
+        d1 = Distribution(1, np.array([1.0, 0.0]))
+        d2 = Distribution(1, np.array([0.0, 1.0]))
         assert tv_distance(d1, d2) == 1.0
 
     def test_mismatched_times_rejected(self):
@@ -606,7 +606,7 @@ class TestVarianceScan:
         scan = variance_scan(DeterministicWalker(HADAMARD, CASE_I_DEFAULT), [10, 20])
         run = evolve(CASE_I_DEFAULT, [HADAMARD] * 20)
         _, expected = summary_stats(run.distribution())
-        assert scan.variances()[20] == pytest.approx(expected, abs=1e-12)
+        assert dict(scan.rows)[20] == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_walker_rejects_a_non_unitary_coin(self):
         # The projector keeps the state (1, 0) at unit norm, so no drift
@@ -620,7 +620,7 @@ class TestVarianceScan:
         scan = variance_scan(AveragedWalker(ensemble, init, trials=300, master_seed=6), [5, 8])
         direct = monte_carlo_average(ensemble, init, 8, 300, 6)
         _, expected = summary_stats(direct.mean_distribution)
-        assert scan.variances()[8] == pytest.approx(expected, abs=1e-15)
+        assert dict(scan.rows)[8] == pytest.approx(expected, abs=1e-15)
 
     def test_n_list_must_increase(self):
         with pytest.raises(ValueError):
