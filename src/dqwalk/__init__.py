@@ -8,10 +8,11 @@ keeps its direction with probability E|a|^2; for balanced coins
 then exactly the symmetric random walk's binomial law, for every initial
 chirality state.  The moment audit flags the column moment E(a conj c),
 which vanishes together with the row moment in every catalog ensemble.  This
-package verifies that collapse three independent ways: exact averages
-over finite-support ensembles, which step the averaged density matrix
-by the coin-averaged channel from the first step, a path-sum
-coefficient algebra, and seeded Monte Carlo averaging.
+package computes the average two independent ways: exact averages over
+finite-support ensembles, which step the averaged density matrix by the
+coin-averaged channel from the first step, and seeded Monte Carlo
+averaging.  A path-sum coefficient algebra checks each realization's
+amplitudes against the evolution engine; it does not average.
 """
 
 from .core import (

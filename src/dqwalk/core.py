@@ -247,6 +247,17 @@ def distribution_of(state: WalkState) -> Distribution:
 def summary_stats(dist: Distribution) -> tuple[float, float]:
     """(mean, variance) of the site coordinate under `dist`."""
     k = dist.sites().astype(np.float64)
-    mean = float(k @ dist.probs)
-    variance = float((k * k) @ dist.probs) - mean * mean
+    mean = float((k * dist.probs).sum())
+    variance = float((k * k * dist.probs).sum()) - mean * mean
     return mean, variance
+
+
+def _sample_variance(mean: np.ndarray, total_sq: np.ndarray, count: int) -> np.ndarray:
+    """Sample variance of `count` values from their mean and sum of squares.
+
+    Zeros when `count` is below 2.  A negative difference, which only
+    rounding can give, reads 0.
+    """
+    if count < 2:
+        return np.zeros_like(mean)
+    return np.maximum(total_sq - count * mean**2, 0.0) / (count - 1)

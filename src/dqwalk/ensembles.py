@@ -54,7 +54,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .core import EPS_UNIT, HADAMARD, Coin, QubitState, validate_coin
+from .core import EPS_UNIT, HADAMARD, Coin, QubitState, _sample_variance, validate_coin
 from .streams import MasterStream, substream
 
 #: Below this radius the SU(2) kick uses the series form of sin(r)/r,
@@ -493,7 +493,10 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
         rows, weights = _support_arrays(ensemble.finite_support)
         values = np.empty((len(rows), len(_MOMENT_NAMES)), dtype=np.complex128)
         _fill_moment_values(values, rows)
-        means = weights @ values
+        # Weighted rows added one after another in support order, on the
+        # float parts: a matrix product would run a BLAS kernel, whose
+        # rounding depends on the CPU it picks.
+        means = (weights[:, np.newaxis] * values.view(np.float64)).sum(axis=0).view(np.complex128)
         estimates = {name: complex(means[i]) for i, name in enumerate(_MOMENT_NAMES)}
         stderrs = {name: 0.0 for name in _MOMENT_NAMES}
         exact = True
@@ -517,16 +520,10 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
             values[0] = np.add.reduce(values[:end], axis=0)
             squares[0] = np.add.reduce(squares[:end], axis=0)
         means = values[0] / draws
-        total_sq = squares[0].reshape(len(_MOMENT_NAMES), 2)
+        variance = _sample_variance(means.view(np.float64), squares[0], draws)
+        stderr = np.sqrt(variance.reshape(len(_MOMENT_NAMES), 2).sum(axis=1) / draws)
         estimates = {name: complex(means[i]) for i, name in enumerate(_MOMENT_NAMES)}
-        stderrs = {}
-        for i, name in enumerate(_MOMENT_NAMES):
-            if draws < 2:
-                stderrs[name] = 0.0
-                continue
-            var_re = max(total_sq[i, 0] - draws * means[i].real ** 2, 0.0) / (draws - 1)
-            var_im = max(total_sq[i, 1] - draws * means[i].imag ** 2, 0.0) / (draws - 1)
-            stderrs[name] = math.sqrt((var_re + var_im) / draws)
+        stderrs = {name: float(stderr[i]) for i, name in enumerate(_MOMENT_NAMES)}
         exact = False
 
     eq_balance = _combine(

@@ -252,7 +252,7 @@ def exact_average(
     total = np.zeros(n + 1)
     for row, w in zip(entry_rows, weights):
         probs = _evolve_block(np.broadcast_to(row, (len(states), steps, 4)), states).sum(axis=0)
-        total += probs if w == 1 else w * probs
+        total += w * probs
     _check_block_norms(total[np.newaxis], n)
     return Distribution(n, total)
 
@@ -272,7 +272,4 @@ def binomial_law(n: int, k: int) -> float:
 
 def binomial_distribution(n: int) -> Distribution:
     """The full classical symmetric walk law at time n as a Distribution."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    probs = np.array([math.comb(n, m) / (1 << n) for m in range(n + 1)])
-    return Distribution(n, probs)
+    return Distribution(n, np.array([binomial_law(n, k) for k in range(-n, n + 1, 2)]))

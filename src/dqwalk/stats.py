@@ -35,11 +35,12 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .core import Coin, Distribution, QubitState, summary_stats
+from .core import Coin, Distribution, QubitState, _sample_variance, summary_stats
 from .engine import _check_block_norms, _evolve_block
 from .ensembles import (
     CoinEnsemble,
@@ -296,11 +297,7 @@ def monte_carlo_average(
     total = np.concatenate([p for p, _ in partials]).sum(axis=0)
     total_sq = np.concatenate([q for _, q in partials]).sum(axis=0)
     mean = total / trials
-    if trials >= 2:
-        variance = np.maximum(total_sq - trials * mean**2, 0.0) / (trials - 1)
-        stderr = np.sqrt(variance / trials)
-    else:
-        stderr = np.zeros_like(mean)
+    stderr = np.sqrt(_sample_variance(mean, total_sq, trials) / trials)
     stderr.setflags(write=False)
 
     mean_distribution = Distribution(n, mean)
@@ -391,31 +388,20 @@ def variance_scan(walker: Walker, n_list: Sequence[int]) -> VarianceScan:
     if any(n < 0 for n in n_list):
         raise ValueError("n values must be nonnegative")
 
-    rows = []
     if isinstance(walker, ClassicalWalker):
-        label = "classical"
-        for n in n_list:
-            # sum_m (2m-n)^2 C(n,m) / 2^n = n exactly.
-            rows.append((int(n), float(n)))
-    elif isinstance(walker, DeterministicWalker):
+        # sum_m (2m-n)^2 C(n,m) / 2^n = n exactly.
+        return VarianceScan(walker="classical", rows=tuple((int(n), float(n)) for n in n_list))
+    if isinstance(walker, DeterministicWalker):
         label = "deterministic"
         ensemble, init_rule = make_fixed(walker.coin), InitialStateRule(state=walker.initial)
-        for n in n_list:
-            _, variance = summary_stats(exact_average(ensemble, init_rule, int(n)))
-            rows.append((int(n), variance))
+        distribution = partial(exact_average, ensemble, init_rule)
     elif isinstance(walker, AveragedWalker):
         label = f"averaged:{walker.ensemble.name}"
-        for n in n_list:
-            result = monte_carlo_average(
-                walker.ensemble,
-                walker.init_rule,
-                int(n),
-                walker.trials,
-                walker.master_seed,
-                workers=walker.workers,
-            )
-            _, variance = summary_stats(result.mean_distribution)
-            rows.append((int(n), variance))
+
+        def distribution(n: int) -> Distribution:
+            return monte_carlo_average(walker.ensemble, walker.init_rule, n, walker.trials,
+                                       walker.master_seed, workers=walker.workers).mean_distribution
     else:
         raise ValueError(f"unknown walker configuration {walker!r}")
-    return VarianceScan(walker=label, rows=tuple(rows))
+    rows = tuple((int(n), summary_stats(distribution(int(n)))[1]) for n in n_list)
+    return VarianceScan(walker=label, rows=rows)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -308,6 +309,15 @@ class TestCoeffsCommand:
         assert [k for k, _ in result["sites"]] == [-4, -2, 0, 2, 4]
 
 
+#: `variance` documents whose rows are sums over many sites: the one-coin
+#: walk's exact rows and a Monte Carlo scan.
+VARIANCE_DOCUMENTS = {
+    "hadamard": ("variance", "--walker", "hadamard", "--n", "1,5,20,64,200,500,999"),
+    "averaged": ("variance", "--walker", "averaged", "--ensemble", "mackay_uniform",
+                 "--init", "caseII", "--n", "1,10,40", "--trials", "5121", "--seed", "7"),
+}
+
+
 class TestVarianceCommand:
     def test_classical_column_equals_n(self, tmp_path):
         out = tmp_path / "var.csv"
@@ -347,6 +357,24 @@ class TestVarianceCommand:
         proc = run_cli("variance", "--config", str(config_file), "--out", str(out2))
         assert proc.returncode == 0, proc.stderr
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    @pytest.mark.parametrize("args", VARIANCE_DOCUMENTS.values(), ids=VARIANCE_DOCUMENTS.keys())
+    def test_bytes_do_not_depend_on_the_blas_kernel(self, args):
+        # A BLAS routine's rounding depends on the CPU kernel OpenBLAS picks,
+        # which OPENBLAS_CORETYPE forces; the package calls none.  Haswell's
+        # kernel needs AVX2 and FMA3.
+        features = numpy_umath().__cpu_features__
+        coretypes = ["", "Prescott"]
+        if features.get("AVX2") and features.get("FMA3"):
+            coretypes.append("Haswell")
+        documents = {}
+        for coretype in coretypes:
+            proc = run_cli(*args, env=dict(os.environ, OPENBLAS_CORETYPE=coretype))
+            assert proc.returncode == 0, proc.stderr
+            documents[coretype] = proc.stdout
+        assert [c for c, doc in documents.items() if doc != documents[""]] == []
 
 
 #: A valid config for each command, and the keys it reads from a config file.
@@ -534,16 +562,22 @@ class TestNumpyRandomImport:
         assert proc.stdout.strip() == "loaded"
 
 
+def numpy_umath():
+    """numpy's ufunc module, which lists the CPU features and dispatch targets."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath
+
+
 def simd_settings() -> list[str]:
     """`NPY_DISABLE_CPU_FEATURES` values, one per dispatch target this CPU has.
 
     Each disables that target and every later one it has, so numpy falls
     back to the loops of the target before it.
     """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
+    umath = numpy_umath()
     targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     return [" ".join(targets[k:]) for k in range(len(targets))]
 
@@ -562,8 +596,9 @@ class TestSimdTargets:
              "--trials", "3000", "--seed", "7", "--audit-draws", "5000"),
             ("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854", "--init", "0.6,0.8j",
              "--n", "40"),
+            VARIANCE_DOCUMENTS["hadamard"],
         ],
-        ids=["average", "exact"],
+        ids=["average", "exact", "variance"],
     )
     def test_real_coin_documents_do_not_depend_on_the_target(self, args):
         settings = simd_settings()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import sys
@@ -13,13 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _draw_haar, haar_coins, make_haar, split_coin
+from conftest import _draw_haar, haar_coins, make_haar, shapira_coin, split_coin
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
     Coin,
     CoinEnsemble,
     EnumerationInfeasibleError,
+    InitialStateRule,
     QubitState,
     audit_moments,
     binomial_distribution,
@@ -33,6 +35,7 @@ from dqwalk import (
     make_ribeiro_two_point,
     reconstruct_state,
     rotation_coin,
+    summary_stats,
     tv_distance,
 )
 from dqwalk import pathsum
@@ -303,6 +306,12 @@ class TestBinomialLaw:
         for k in range(-9, 10):
             assert dist.prob(k) == binomial_law(9, k)
 
+    @pytest.mark.parametrize("law", [binomial_distribution, lambda n: binomial_law(n, 0)],
+                             ids=["distribution", "law"])
+    def test_negative_n_rejected(self, law):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            law(-1)
+
 
 def whole_sequence_average(support, phi: QubitState, n: int, chunk: int = 1 << 14) -> np.ndarray:
     """Oracle: evolve every coin sequence whole from the origin.
@@ -501,3 +510,73 @@ class TestExactAverage:
                 for seq in itertools.product(support, repeat=n)
             )
             assert np.max(np.abs(dist.probs - brute)) <= 1e-15
+
+
+def random_state(rng: np.random.Generator) -> QubitState:
+    z = rng.normal(size=4)
+    z /= math.sqrt(float((z * z).sum()))
+    return QubitState(complex(z[0], z[1]), complex(z[2], z[3]))
+
+
+def persistent_walk(p: float, phi: QubitState, n: int) -> np.ndarray:
+    """Oracle: the persistent random walk's law after n steps, per index i.
+
+    Each step the left and right populations keep their chirality with
+    probability p; then l stays at index i and r moves to i + 1.
+    """
+    left, right = np.array([abs(phi.alpha) ** 2]), np.array([abs(phi.beta) ** 2])
+    for _ in range(n):
+        left, right = p * left + (1 - p) * right, (1 - p) * left + p * right
+        left, right = np.append(left, 0.0), np.insert(right, 0, 0.0)
+    return left + right
+
+
+class TestPersistentWalkLaw:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 3))
+    def test_row_decoupled_ensembles_walk_persistently(self, seed, s):
+        # With each coin U_k beside U_k diag(1, -1) at equal weight, the row
+        # moment E(a conj b) is 0, so the averaged populations form a closed
+        # Markov walk that keeps its chirality with probability E|a|^2.
+        rng = np.random.default_rng(seed)
+        coins = [shapira_coin(*kick) for kick in rng.normal(size=(s, 3))]
+        weights = rng.random(s) + 0.05
+        weights = (weights / weights.sum()).tolist()
+        support = tuple(
+            (flipped, w / 2)
+            for coin, w in zip(coins, weights)
+            for flipped in (coin, Coin(coin.a, -coin.b, coin.c, -coin.d))
+        )
+        ensemble = CoinEnsemble(name="row_decoupled", finite_support=support)
+        p = sum(w * abs(coin.a) ** 2 for coin, w in zip(coins, weights))
+        phi = random_state(rng)
+        for n in (1, 7, 30):
+            dist = exact_average(ensemble, InitialStateRule(state=phi), n)
+            assert np.max(np.abs(dist.probs - persistent_walk(p, phi, n))) <= 1e-13
+
+
+@st.composite
+def konno_coins(draw):
+    """A coin with |a|^2 in [0.1, 0.9]: real with random signs, or with random phases."""
+    q = draw(st.floats(0.1, 0.9))
+    if draw(st.booleans()):
+        a, b, det = (draw(st.sampled_from([1.0, -1.0])) for _ in range(3))
+    else:
+        a, b, det = (cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))) for _ in range(3))
+    a, b = a * math.sqrt(q), b * math.sqrt(1 - q)
+    return Coin(a, b, -det * b.conjugate(), det * a.conjugate())
+
+
+class TestKonnoLimit:
+    @settings(max_examples=12, deadline=None)
+    @given(coin=konno_coins(), seed=st.integers(0, 2**32 - 1))
+    def test_one_coin_second_moment_is_ballistic(self, coin, seed):
+        # Konno (Quantum Inf. Process. 1, 345, 2002): X_n / n converges to a
+        # law on (-|a|, |a|) with E(X_n / n)^2 -> 1 - sqrt(1 - |a|^2),
+        # whatever the state; the error falls like 1/n.
+        ensemble = make_fixed(coin)
+        init_rule = InitialStateRule(state=random_state(np.random.default_rng(seed)))
+        limit = 1 - math.sqrt(1 - abs(coin.a) ** 2)
+        for n in (250, 1000, 2000):
+            mean, var = summary_stats(exact_average(ensemble, init_rule, n))
+            assert abs((var + mean**2) / n**2 - limit) <= 0.02 / n

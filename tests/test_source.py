@@ -59,3 +59,23 @@ def test_every_export_is_used():
         if not used:
             unused.append(name)
     assert unused == []
+
+
+#: numpy names whose calls run a BLAS or LAPACK routine.
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_no_blas_calls():
+    # A BLAS routine's rounding depends on the kernel the library picks for
+    # the CPU, so a document computed with one would change with the
+    # machine.  The package writes its sums in numpy ufuncs instead.
+    calls = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                calls.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                calls.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.alias) and node.name.split(".")[-1] in BLAS_NAMES:
+                calls.append(f"{path.name}:{node.lineno} import {node.name}")
+    assert calls == []
