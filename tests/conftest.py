@@ -1,6 +1,6 @@
 """Shared test helpers: generic random unitary coins, a recording process pool,
-and two oracles, the one-row split of a coin and the perturbed Hadamard
-coin of one explicit kick vector."""
+the kernel's sub-block rows, and two oracles, the one-row split of a coin
+and the perturbed Hadamard coin of one explicit kick vector."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 
 import dqwalk.stats
 from dqwalk import EPS_UNIT, Coin, CoinEnsemble, validate_coin
+from dqwalk.engine import DIAGONAL_WORKSET, Q_MIN, WORKSET
 from dqwalk.ensembles import _su2_kick_parameters
 
 
@@ -40,6 +41,18 @@ def _draw_haar(rng: np.random.Generator, size: int) -> np.ndarray:
     out[:, 2] = q[:, 1, 0]
     out[:, 3] = q[:, 1, 1]
     return out
+
+
+def diagonal_rows(n: int) -> int:
+    """Trials per sub-block of `_evolve_block`'s diagonal loop over n coins."""
+    return max(8, DIAGONAL_WORKSET // (16 * (8 * (n + 1) + 2 * (n // 2 + 1))))
+
+
+def kernel_rows(n: int, trials: int) -> int:
+    """Trials per sub-block of `_evolve_block` over n coins from the origin."""
+    if trials >= 2 and n >= Q_MIN:
+        return min(trials, diagonal_rows(n))
+    return max(1, min(trials, max(8, WORKSET // (64 * (n + 1)))))
 
 
 def make_haar() -> CoinEnsemble:

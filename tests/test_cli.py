@@ -8,9 +8,11 @@ import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dqwalk
 from dqwalk import binomial_law, mu_shapira
 from dqwalk.cli import ensemble_from_config, main, parse_n_list
 
@@ -586,7 +588,8 @@ class TestSimdTargets:
     """Real-coin documents have the same bytes on every SIMD target numpy can take.
 
     Complex-coin documents do not: numpy's complex multiply rounds
-    differently on some targets, which README states.
+    differently on some targets, which README states.  On each target the
+    kernel's two loop orders give the same bytes.
     """
 
     @pytest.mark.parametrize(
@@ -594,11 +597,13 @@ class TestSimdTargets:
         [
             ("average", "--ensemble", "ribeiro_uniform", "--init", "caseII", "--n", "10",
              "--trials", "3000", "--seed", "7", "--audit-draws", "5000"),
+            ("average", "--ensemble", "ribeiro_uniform", "--init", "caseI", "--n", "160",
+             "--trials", "300", "--seed", "7", "--audit-draws", "5000"),
             ("exact", "--ensemble", "ribeiro_two_point", "--xi", "0.7854", "--init", "0.6,0.8j",
              "--n", "40"),
             VARIANCE_DOCUMENTS["hadamard"],
         ],
-        ids=["average", "exact", "variance"],
+        ids=["average", "average-diagonals", "exact", "variance"],
     )
     def test_real_coin_documents_do_not_depend_on_the_target(self, args):
         settings = simd_settings()
@@ -610,6 +615,32 @@ class TestSimdTargets:
             assert proc.returncode == 0, proc.stderr
             documents[setting] = proc.stdout
         assert [s for s, doc in documents.items() if doc != documents[""]] == []
+
+    def test_both_loop_orders_give_the_same_bytes_on_every_target(self):
+        # Complex-coin bytes are pinned per target, so on each target the
+        # diagonal loop of an origin start must give the bytes of the
+        # site-major loop, which an amplitude start over one site takes.
+        program = (
+            "import numpy as np\n"
+            "from conftest import _draw_haar\n"
+            "from dqwalk.engine import _evolve_block\n"
+            "rng = np.random.default_rng(200)\n"
+            "abcd = _draw_haar(rng, 100 * 200).reshape(100, 200, 4)\n"
+            "initial = np.ascontiguousarray(_draw_haar(rng, 100)[:, [0, 2]])\n"
+            "diagonals = _evolve_block(abcd, initial)\n"
+            "site_major = _evolve_block(abcd, initial[:, np.newaxis, :])\n"
+            "print(diagonals.tobytes() == site_major.tobytes())\n"
+        )
+        tests = Path(__file__).resolve().parent
+        src = str(Path(dqwalk.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [str(tests), src, os.environ.get("PYTHONPATH")]))
+        for setting in ["", *simd_settings()]:
+            env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=setting)
+            proc = subprocess.run(
+                [sys.executable, "-c", program], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "True", setting
 
 
 class TestParsing:

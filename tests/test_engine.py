@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqwalk
-from conftest import _draw_haar, haar_coins, split_coin
+from conftest import _draw_haar, diagonal_rows, haar_coins, kernel_rows, split_coin
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
@@ -29,8 +29,8 @@ from dqwalk import (
     make_ribeiro_two_point,
     run_realization,
 )
-from dqwalk.engine import WORKSET, _evolve_block
-from dqwalk.stats import draw_realization
+from dqwalk.engine import Q_MIN, _evolve_block
+from dqwalk.stats import _SubBlockDraws, draw_realization
 
 
 def brute_force_distribution(phi: QubitState, coins) -> dict[int, float]:
@@ -205,8 +205,20 @@ def haar_block(seed: int, trials: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return abcd, initial
 
 
-def sub_block_rows(n: int) -> int:
-    return WORKSET // (64 * (n + 1))
+def assert_rows_equal_single_evolutions(n: int, trials: int, rows: int, seed: int) -> None:
+    """`_evolve_block` rows of a Haar block equal `evolve`'s bits.
+
+    Every row of small blocks; else the first row, the rows either side of
+    the first sub-block boundary of `rows` trials and the last row.
+    """
+    abcd, initial = haar_block(seed, trials, n)
+    probs = _evolve_block(abcd, initial)
+    assert probs.shape == (trials, n + 1)
+    checked = range(trials) if trials <= 8 else {0, rows - 1, rows, trials - 1}
+    for t in sorted(t for t in checked if t < trials):
+        coins = [Coin(*map(complex, row)) for row in abcd[t]]
+        expected = evolve(QubitState(*initial[t]), coins).distribution().probs
+        assert np.array_equal(probs[t], expected), t
 
 
 @pytest.fixture(scope="module")
@@ -222,18 +234,22 @@ class TestEvolveBlock:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_rows_equal_single_evolutions(self, n, shape, seed):
-        rows = sub_block_rows(n)
+        rows = kernel_rows(n, 2**62)
         trials = {"one": 1, "seven": 7, "below": rows - 1, "exact": rows, "above": rows + 1}[shape]
-        abcd, initial = haar_block(seed, trials, n)
-        probs = _evolve_block(abcd, initial)
-        assert probs.shape == (trials, n + 1)
-        # Every row of small blocks; else the first row, the rows either
-        # side of the first sub-block boundary and the last row.
-        checked = range(trials) if trials <= 8 else {0, rows - 1, rows, trials - 1}
-        for t in sorted(t for t in checked if t < trials):
-            coins = [Coin(*map(complex, row)) for row in abcd[t]]
-            expected = evolve(QubitState(*initial[t]), coins).distribution().probs
-            assert np.array_equal(probs[t], expected), t
+        assert_rows_equal_single_evolutions(n, trials, rows, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([Q_MIN - 1, Q_MIN, Q_MIN + 1, 2 * Q_MIN + 3]),
+        shape=st.sampled_from(["two", "seven", "below", "exact", "above"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_diagonal_rows_equal_single_evolutions(self, n, shape, seed):
+        # Monte Carlo blocks from Q_MIN steps on step along diagonals, in
+        # sub-blocks of their own size; one step fewer goes site-major.
+        rows = diagonal_rows(n)
+        trials = {"two": 2, "seven": 7, "below": rows - 1, "exact": rows, "above": rows + 1}[shape]
+        assert_rows_equal_single_evolutions(n, trials, rows, seed)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -256,9 +272,34 @@ class TestEvolveBlock:
             assert np.array_equal(probs, expected), n0
 
     def test_several_sub_blocks_equal_concatenate_kernel(self, block_320):
+        # n=320 steps along diagonals: full sub-blocks plus a remainder.
         abcd, initial = block_320
-        assert 1024 % sub_block_rows(320) != 0  # full sub-blocks plus a remainder
+        assert 320 >= Q_MIN and 1024 % diagonal_rows(320) != 0
         assert np.array_equal(_evolve_block(abcd, initial), concatenate_kernel(abcd, initial))
+
+    @pytest.mark.parametrize(
+        "n, trials", [(10, 700), (Q_MIN - 1, 400), (Q_MIN, 400), (320, 100), (320, 2)]
+    )
+    def test_sub_blocks_hold_kernel_rows(self, n, trials):
+        # The tests above cross sub-block boundaries at `kernel_rows`.
+        abcd, initial = haar_block(n, trials, n)
+        slices = []
+
+        def rows(lo, hi):
+            slices.append((lo, hi))
+            return abcd[lo:hi]
+
+        probs = _evolve_block(_SubBlockDraws(abcd.shape, rows), initial)
+        assert probs.tobytes() == _evolve_block(abcd, initial).tobytes()
+        step = kernel_rows(n, trials)
+        assert slices == [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+
+    def test_diagonal_loop_equals_site_major_loop(self, block_320):
+        # An amplitude start over one site is stepped site-major; the same
+        # block from the origin is stepped along diagonals.
+        abcd, initial = block_320
+        site_major = _evolve_block(abcd, initial[:, np.newaxis, :])
+        assert _evolve_block(abcd, initial).tobytes() == site_major.tobytes()
 
     def test_step_loop_allocates_nothing(self, block_320):
         # Only the output and the fixed sub-block buffers may be allocated;

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dqwalk.stats
-from conftest import _draw_haar, make_haar_mixture
+from conftest import _draw_haar, kernel_rows, make_haar_mixture
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
@@ -41,7 +41,7 @@ from dqwalk import (
     tv_distance,
     variance_scan,
 )
-from dqwalk.engine import WORKSET, _check_block_norms, _evolve_block
+from dqwalk.engine import _check_block_norms, _evolve_block
 from dqwalk.ensembles import UniformDraw, _phase_parameters
 from dqwalk.stats import BLOCK_SIZE, RUN_SITES, _block_draws, _mc_block
 from dqwalk.streams import COIN_STREAM, INIT_STREAM, block_uniforms, substream
@@ -269,11 +269,6 @@ def eager_mc_block(ensemble, init_rule, n, master_seed, start, count):
     probs = _evolve_block(abcd, initial)
     _check_block_norms(probs, n)
     return probs.sum(axis=0), (probs**2).sum(axis=0)
-
-
-def kernel_rows(n: int, trials: int) -> int:
-    """Trials per sub-block of `_evolve_block` over n coins (final width n+1)."""
-    return max(1, min(trials, max(8, WORKSET // (64 * (n + 1)))))
 
 
 def coin_source(ensemble: CoinEnsemble):

@@ -40,10 +40,17 @@ The grid:
   draws at a time (`dqwalk.streams.MasterStream`), and these end one
   draw before, one after and a whole round past those boundaries;
 * `average` of mackay_uniform x caseII at n = 320 with 1100 trials on 2
-  workers (51-trial kernel sub-blocks, two runs, and the default audit
+  workers (diagonal kernel sub-blocks, two runs, and the default audit
   running in the parent while the pool works) and of ribeiro_two_point x
   caseII at n = 63 with 2100 trials on 2 workers (a finite support's coin
   planes across three runs in a pool);
+* the kernel's diagonal loop, which Monte Carlo blocks of at least
+  `dqwalk.engine.Q_MIN` steps take, reached three more ways: `average` of
+  shapira x caseII at n = 150, whose coins are per-trial rows and not
+  `UniformDraw` planes; of ribeiro_uniform x 0.6,0.8j at n = Q_MIN - 1
+  and Q_MIN with 1030 trials on 2 workers, a partial sub-block on each
+  side of the choice of loop; and `variance --walker averaged` at an n
+  list that crosses Q_MIN;
 * `exact` for fixed_hadamard in JSON and CSV at n = 12 and in JSON at
   n = 2000 (the one-coin walk at large n), and for ribeiro_two_point
   x caseI/0.6,0.8j at n = 14 and 15, caseI at n = 1 and 2 (0 and 1
@@ -79,7 +86,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
+sys.path.insert(0, str(ROOT / "src"))
+
 from run import WORKLOADS  # noqa: E402
+
+from dqwalk.engine import Q_MIN  # noqa: E402
 
 SEEDS = (0, 7, 2**64 - 1)
 
@@ -188,6 +199,19 @@ def grid() -> dict[str, tuple[str, ...]]:
     cases["average-ribeiro_two_point-n63-w2"] = (
         "average", "--ensemble", "ribeiro_two_point", *ENSEMBLES["ribeiro_two_point"],
         "--init", "caseII", "--n", "63", "--trials", "2100", "--workers", "2",
+    )
+    cases["average-shapira-caseII-n150"] = (
+        "average", "--ensemble", "shapira", *ENSEMBLES["shapira"], "--init", "caseII",
+        "--n", "150", "--trials", "300", "--seed", "7",
+    )
+    for n in (Q_MIN - 1, Q_MIN):
+        cases[f"average-ribeiro_uniform-0.6,0.8j-n{n}-w2"] = (
+            "average", "--ensemble", "ribeiro_uniform", "--init", "0.6,0.8j", "--n", str(n),
+            "--trials", "1030", "--workers", "2", "--seed", "7",
+        )
+    cases["variance-averaged-across-q_min"] = (
+        "variance", "--walker", "averaged", "--ensemble", "mackay_uniform", "--init", "caseII",
+        "--n", f"10,{Q_MIN - 1},{Q_MIN},200", "--trials", "300", "--seed", "7",
     )
     cases["average-ribeiro_uniform-audit4097"] = (
         "average", "--ensemble", "ribeiro_uniform", "--n", "10", "--trials", "2000",
