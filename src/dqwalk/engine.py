@@ -13,16 +13,16 @@ unitary for every horizon.
 
 The private block kernel `_evolve_block` evolves many realizations at
 once with the same elementwise arithmetic as `evolve`, which keeps single
-runs and Monte Carlo trials bit-identical.  It steps the trials in
-sub-blocks whose size is derived from n alone, in buffers allocated once
-per call, and visits the cells (step s, site i) of a sub-block in one of
-two orders, chosen from the call's shapes alone.  A Monte Carlo block (an
-origin start of at least two trials over at least Q_MIN steps) goes
+runs and Monte Carlo trials bit-identical.  It visits the cells (step s,
+site i) in one order per kind of call, chosen from the call's shapes
+alone.  A Monte Carlo block (an origin start of at least two trials) goes
 along the diagonals s + i = k, whose cells all have different steps and
-so read contiguous coin planes; every other call goes site-major, one
-step after another.  A cell computes the same products and sums of the
-same operands whatever the order, sub-block or neighbours, so results
-are bit-identical at any block or sub-block size and in either order.
+so read contiguous coin planes, in sub-blocks whose size is derived from
+n alone; a single walk or an amplitude start goes site-major, one step
+after another, over all its trials at once.  A cell computes the same
+products and sums of the same operands whatever the order, sub-block or
+neighbours, so results are bit-identical at any block or sub-block size
+and in either order.
 
 The kernel starts either at the origin, from one qubit state per trial,
 or from amplitude states already evolved over some steps, and then
@@ -73,15 +73,6 @@ def evolve(initial: QubitState, coins: Sequence[Coin]) -> WalkRun:
     return WalkRun(final=state)
 
 
-#: Bytes of amplitude working set per site-major sub-block: the left, two
-#: right and one scratch complex amplitudes of every trial in it.
-WORKSET = 1 << 20
-
-#: Steps from which a Monte Carlo block (an origin start of at least two
-#: trials) steps along diagonals; shorter walks pay more in the 2q+1
-#: diagonals' call overhead than they save.
-Q_MIN = 96
-
 #: Bytes of slots, finished cells and scratch per diagonal sub-block: 39
 #: trials at n=320.  Up to 64 trials ran about 5% faster there, but from 48
 #: trials a 1024-trial Monte Carlo run's traced peak passes 10 MiB.
@@ -98,78 +89,56 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     form is the w0 = 1 case.  Returns (trials, w0+q) site probabilities.
     Row t is bit-identical to evolving trial t alone, from the origin
     through all of its coins.  `abcd` is read only through `shape`,
-    `dtype` and one slice `abcd[start:stop]` per sub-block, so it may be
-    an object that makes each sub-block's coins when sliced.
+    `dtype` and slices `abcd[start:stop]` of consecutive trials, so it
+    may be an object that makes those trials' coins when sliced.
 
-    An origin start of at least two trials over at least Q_MIN steps is
-    stepped along diagonals (`_evolve_diagonals`); every other call,
-    single walks and amplitude starts included, site-major as below.  In
-    either order a cell computes c*l + d*r and a*l + b*r with the coin
-    entry as first operand, and numpy rounds each element of a multiply
-    or add alike wherever it falls in a call whose output is one of its
-    inputs or overlaps none of them, so a row's bits do not depend on the
-    order.
+    An origin start of at least two trials, a Monte Carlo block, is
+    stepped along diagonals (`_evolve_diagonals`); a single walk or an
+    amplitude start (the exact finish) site-major as below.  In either
+    order a cell computes c*l + d*r and a*l + b*r with the coin entry as
+    first operand, and numpy rounds each element of a multiply or add
+    alike wherever it falls in a call whose output is one of its inputs
+    or overlaps none of them, so a row's bits do not depend on the order.
 
-    Site-major, trials are stepped in sub-blocks of `rows` trials, sized
-    from the final width so that the four amplitude buffers fill WORKSET
-    bytes, but no fewer than 8 trials and no more than the block has.  The
-    buffers are allocated once per call and hold a sub-block site-major,
-    (w0+q, rows): the first w sites of every trial are one contiguous
-    stretch, so each step is six ufunc calls on contiguous memory.
+    Site-major, all trials are stepped in one pass on four amplitude
+    buffers that hold them site-major, (w0+q, trials): the first w sites
+    of every trial are one contiguous stretch, so each step is six ufunc
+    calls on contiguous memory.
     """
     trials, q = abcd.shape[0], abcd.shape[1]
-    if initial.ndim == 2 and trials >= 2 and q >= Q_MIN:
+    if initial.ndim == 2 and trials >= 2:
         return _evolve_diagonals(abcd, initial)
     if initial.ndim == 2:
         initial = initial[:, np.newaxis, :]
     w0 = initial.shape[1]
     width = w0 + q
-    rows = max(1, min(trials, max(8, WORKSET // (64 * width))))
-    amplitudes = np.empty((4, width * rows), dtype=np.complex128)
-    coin_buffer = np.empty(q * 4 * rows, dtype=abcd.dtype)
-    square_buffer = np.empty(width * rows)
+    l, r, r_next, t = np.empty((4, width, trials), dtype=np.complex128)
+    # coins[j] unpacks into the (1, trials) rows a, b, c, d of step j.
+    coins = np.empty((q, 4, 1, trials), dtype=abcd.dtype)
+    np.copyto(coins[:, :, 0], abcd[0:trials].transpose(1, 2, 0))
+    # Cells a step does not write must read as zero: the left cells past
+    # the support and the first right cell.
+    l[w0:] = 0
+    np.copyto(l[:w0], initial[:, :, 0].T)
+    np.copyto(r[:w0], initial[:, :, 1].T)
+    for j in range(q):
+        r_next[0] = 0
+        a, b, c, d = coins[j]
+        w = w0 + j
+        lw, rw, tw, r_out = l[:w], r[:w], t[:w], r_next[1 : w + 1]
+        # The right-moving part c*l + d*r goes to r_next, the left-moving
+        # part a*l + b*r back to l.  The products keep `evolve`'s operand
+        # order (coin entry first): numpy's complex multiply may fuse a
+        # product into a sum, so swapping operands can change the last bit.
+        np.multiply(c, lw, out=r_out)
+        np.multiply(d, rw, out=tw)
+        np.add(r_out, tw, out=r_out)
+        np.multiply(a, lw, out=tw)
+        np.multiply(b, rw, out=lw)
+        np.add(tw, lw, out=lw)
+        r, r_next = r_next, r
     probs = np.empty((trials, width))
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        m = stop - start
-        l, r, r_next, t = amplitudes[:, : width * m].reshape(4, width, m)
-        # coins[j] unpacks into the (1, m) rows a, b, c, d of step j.  numpy
-        # copies a broadcast (1, m) operand into its iterator buffer whenever
-        # a buffer chunk spans sites, so such a multiply costs about 1.2-1.4 ns
-        # per element against 0.66 ns with same-shape operands (numpy 2.4.6,
-        # (17, 910) complex).  Copying the coins step-major first makes every
-        # row contiguous, so those buffer copies stay cheap: reading strided
-        # rows straight from `abcd` took 0.57-0.69 s against 0.47-0.53 s per
-        # 1024-trial block at n=320 (medians of 5, in-process, 2-core Xeon).
-        # Monte Carlo blocks of `UniformDraw` coins hand over (4, q, m)
-        # planes, so this copy also reads contiguous rows; other coins are
-        # (m, q, 4) rows and read with a stride.
-        coins = coin_buffer[: q * 4 * m].reshape(q, 4, 1, m)
-        np.copyto(coins[:, :, 0], abcd[start:stop].transpose(1, 2, 0))
-        # Cells a step does not write must read as zero: the left cells past
-        # the support and the first right cell.
-        l[w0:] = 0
-        np.copyto(l[:w0], initial[start:stop, :, 0].T)
-        np.copyto(r[:w0], initial[start:stop, :, 1].T)
-        for j in range(q):
-            r_next[0] = 0
-            a, b, c, d = coins[j]
-            w = w0 + j
-            lw, rw, tw, r_out = l[:w], r[:w], t[:w], r_next[1 : w + 1]
-            # The right-moving part c*l + d*r goes to r_next, the left-moving
-            # part a*l + b*r back to l.  The products keep `evolve`'s operand
-            # order (coin entry first): numpy's complex multiply may fuse a
-            # product into a sum, so swapping operands can change the last bit.
-            np.multiply(c, lw, out=r_out)
-            np.multiply(d, rw, out=tw)
-            np.add(r_out, tw, out=r_out)
-            np.multiply(a, lw, out=tw)
-            np.multiply(b, rw, out=lw)
-            np.add(tw, lw, out=lw)
-            r, r_next = r_next, r
-        out = square_buffer[: width * m].reshape(width, m)
-        _sum_squares(l, r, out, t.real)
-        np.copyto(probs[start:stop].T, out)
+    _sum_squares(l, r, probs.T, t.real)
     return probs
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import dqwalk.stats
 from dqwalk import EPS_UNIT, Coin, CoinEnsemble, validate_coin
-from dqwalk.engine import DIAGONAL_WORKSET, Q_MIN, WORKSET
+from dqwalk.engine import DIAGONAL_WORKSET
 from dqwalk.ensembles import _su2_kick_parameters
 
 
@@ -50,9 +50,7 @@ def diagonal_rows(n: int) -> int:
 
 def kernel_rows(n: int, trials: int) -> int:
     """Trials per sub-block of `_evolve_block` over n coins from the origin."""
-    if trials >= 2 and n >= Q_MIN:
-        return min(trials, diagonal_rows(n))
-    return max(1, min(trials, max(8, WORKSET // (64 * (n + 1)))))
+    return min(trials, diagonal_rows(n)) if trials >= 2 else 1
 
 
 def make_haar() -> CoinEnsemble:

@@ -29,7 +29,7 @@ from dqwalk import (
     make_ribeiro_two_point,
     run_realization,
 )
-from dqwalk.engine import Q_MIN, _evolve_block
+from dqwalk.engine import _evolve_block
 from dqwalk.stats import _SubBlockDraws, draw_realization
 
 
@@ -240,13 +240,13 @@ class TestEvolveBlock:
 
     @settings(max_examples=20, deadline=None)
     @given(
-        n=st.sampled_from([Q_MIN - 1, Q_MIN, Q_MIN + 1, 2 * Q_MIN + 3]),
+        n=st.sampled_from([0, 1, 2, 10, 95, 96, 97, 195]),
         shape=st.sampled_from(["two", "seven", "below", "exact", "above"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_diagonal_rows_equal_single_evolutions(self, n, shape, seed):
-        # Monte Carlo blocks from Q_MIN steps on step along diagonals, in
-        # sub-blocks of their own size; one step fewer goes site-major.
+        # Monte Carlo blocks of every length step along diagonals, in
+        # sub-blocks of their own size.
         rows = diagonal_rows(n)
         trials = {"two": 2, "seven": 7, "below": rows - 1, "exact": rows, "above": rows + 1}[shape]
         assert_rows_equal_single_evolutions(n, trials, rows, seed)
@@ -274,11 +274,11 @@ class TestEvolveBlock:
     def test_several_sub_blocks_equal_concatenate_kernel(self, block_320):
         # n=320 steps along diagonals: full sub-blocks plus a remainder.
         abcd, initial = block_320
-        assert 320 >= Q_MIN and 1024 % diagonal_rows(320) != 0
+        assert 1024 % diagonal_rows(320) != 0
         assert np.array_equal(_evolve_block(abcd, initial), concatenate_kernel(abcd, initial))
 
     @pytest.mark.parametrize(
-        "n, trials", [(10, 700), (Q_MIN - 1, 400), (Q_MIN, 400), (320, 100), (320, 2)]
+        "n, trials", [(10, 700), (95, 400), (96, 400), (320, 100), (320, 2)]
     )
     def test_sub_blocks_hold_kernel_rows(self, n, trials):
         # The tests above cross sub-block boundaries at `kernel_rows`.
@@ -296,10 +296,11 @@ class TestEvolveBlock:
 
     def test_diagonal_loop_equals_site_major_loop(self, block_320):
         # An amplitude start over one site is stepped site-major; the same
-        # block from the origin is stepped along diagonals.
-        abcd, initial = block_320
-        site_major = _evolve_block(abcd, initial[:, np.newaxis, :])
-        assert _evolve_block(abcd, initial).tobytes() == site_major.tobytes()
+        # block from the origin is stepped along diagonals, at n=320 and at
+        # n=10, a 5120-trial run of the `mc_small_n` workload.
+        for abcd, initial in (block_320, haar_block(10, 5120, 10)):
+            site_major = _evolve_block(abcd, initial[:, np.newaxis, :])
+            assert _evolve_block(abcd, initial).tobytes() == site_major.tobytes()
 
     def test_step_loop_allocates_nothing(self, block_320):
         # Only the output and the fixed sub-block buffers may be allocated;

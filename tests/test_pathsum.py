@@ -580,3 +580,20 @@ class TestKonnoLimit:
         for n in (250, 1000, 2000):
             mean, var = summary_stats(exact_average(ensemble, init_rule, n))
             assert abs((var + mean**2) / n**2 - limit) <= 0.02 / n
+
+    @settings(max_examples=24, deadline=None)
+    @given(coin=konno_coins(), seed=st.integers(0, 2**32 - 1))
+    def test_one_coin_first_moment_follows_konno(self, coin, seed):
+        # Konno's law has E(X_n / n) -> -g (1 - sqrt(1 - |a|^2)) with
+        # g = |alpha|^2 - |beta|^2 + 2 Re(a alpha conj(b beta)) / |a|^2, in
+        # this walk's convention, where the top row moves left.  Over 80
+        # random real and complex coins and states n times the error stayed
+        # below 0.52 at n = 250, 1000 and 2000, so the bound is 1 / n.
+        phi = random_state(np.random.default_rng(seed))
+        a, b = coin.a, coin.b
+        g = abs(phi.alpha) ** 2 - abs(phi.beta) ** 2
+        g += 2 * (a * phi.alpha * (b * phi.beta).conjugate()).real / abs(a) ** 2
+        limit = -g * (1 - math.sqrt(1 - abs(a) ** 2))
+        for n in (250, 1000, 2000):
+            mean, _ = summary_stats(exact_average(make_fixed(coin), InitialStateRule(state=phi), n))
+            assert abs(mean / n - limit) <= 1 / n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 import tracemalloc
 from functools import partial
@@ -42,7 +43,7 @@ from dqwalk import (
     variance_scan,
 )
 from dqwalk.engine import _check_block_norms, _evolve_block
-from dqwalk.ensembles import UniformDraw, _phase_parameters
+from dqwalk.ensembles import UniformDraw, _phase_parameters, _support_arrays
 from dqwalk.stats import BLOCK_SIZE, RUN_SITES, _block_draws, _mc_block
 from dqwalk.streams import COIN_STREAM, INIT_STREAM, block_uniforms, substream
 
@@ -83,6 +84,29 @@ class TestMonteCarloAverage:
         large = monte_carlo_average(ensemble, init, 8, 8000, 21)
         ratio = small.stderr_max / large.stderr_max
         assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
+
+    @pytest.mark.parametrize("init, n", [("caseI", 12), ("0.6,0.8j", 10)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_stderr_matches_the_population_of_all_sequences(self, init, n, seed):
+        # The 2^n equally weighted coin sequences of a two-point ensemble are
+        # the whole population of a trial's site probabilities.  Their mean
+        # mu, variance sigma^2 and fourth central moment mu4 give the mean's
+        # z-score against sigma^2 / T and the sample variance's against
+        # (mu4 - sigma^4) / T.
+        ensemble = make_ribeiro_two_point(0.3)
+        rows, _ = _support_arrays(ensemble.finite_support)
+        phi = make_initial_state(init).state
+        abcd = rows[np.array(list(itertools.product(range(2), repeat=n)))]
+        probs = _evolve_block(abcd, np.tile([phi.alpha, phi.beta], (len(abcd), 1)))
+        mu = probs.mean(axis=0)
+        var = ((probs - mu) ** 2).mean(axis=0)
+        mu4 = ((probs - mu) ** 4).mean(axis=0)
+        trials = 20000
+        result = monte_carlo_average(ensemble, make_initial_state(init), n, trials, seed)
+        z_mean = (result.mean_distribution.probs - mu) / np.sqrt(var / trials)
+        z_var = (result.stderr**2 * trials - var) / np.sqrt((mu4 - var**2) / trials)
+        assert np.max(np.abs(z_mean)) <= 5
+        assert np.max(np.abs(z_var)) <= 5
 
     def test_mean_has_zero_mass_off_parity(self):
         result = monte_carlo_average(
