@@ -25,7 +25,6 @@ from .core import (
     NumericalDriftError,
     QubitState,
     WalkState,
-    distribution_of,
     summary_stats,
     validate_coin,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "binomial_distribution",
     "binomial_law",
     "coefficients",
-    "distribution_of",
     "evolve",
     "exact_average",
     "make_fixed",

@@ -231,7 +231,7 @@ def _cmd_average(inputs: _Inputs) -> tuple[dict, list[str] | None]:
         ensemble, init_rule, n, trials, seed, workers=inputs.workers(), audit_draws=audit_draws
     )
     payload = result.to_json_dict()
-    rows = result.to_csv_rows() + [
+    rows = result.mean_distribution.to_csv_rows() + [
         f"# stderr_max: {result.stderr_max!r}",
         f"# tv_to_binomial: {result.tv_to_binomial!r}",
     ]

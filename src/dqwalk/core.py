@@ -231,19 +231,6 @@ class Distribution:
         return ["k,probability"] + [f"{k},{p!r}" for k, p in self.items()]
 
 
-def distribution_of(state: WalkState) -> Distribution:
-    """Site occupation probabilities |psi_l|^2 + |psi_r|^2 of a walk state.
-
-    Raises
-    ------
-    NumericalDriftError
-        If the total mass is off the budget of `check_norms`.
-    """
-    p = state.psi_l.real**2 + state.psi_l.imag**2 + state.psi_r.real**2 + state.psi_r.imag**2
-    check_norms(p.sum(), state.step)
-    return Distribution(state.step, p)
-
-
 def summary_stats(dist: Distribution) -> tuple[float, float]:
     """(mean, variance) of the site coordinate under `dist`."""
     k = dist.sites().astype(np.float64)

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Coin, Distribution, QubitState, WalkState, check_norms, distribution_of
+from .core import Coin, QubitState, WalkState, check_norms
 
 _ZERO = np.zeros(1, dtype=np.complex128)
 
@@ -51,9 +51,6 @@ class WalkRun:
     """The final state of one realization."""
 
     final: WalkState
-
-    def distribution(self) -> Distribution:
-        return distribution_of(self.final)
 
 
 def evolve(initial: QubitState, coins: Sequence[Coin]) -> WalkRun:
@@ -88,9 +85,10 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     w0 sites after w0-1 steps, as a `WalkState` holds them; the origin
     form is the w0 = 1 case.  Returns (trials, w0+q) site probabilities.
     Row t is bit-identical to evolving trial t alone, from the origin
-    through all of its coins.  `abcd` is read only through `shape`,
-    `dtype` and slices `abcd[start:stop]` of consecutive trials, so it
-    may be an object that makes those trials' coins when sliced.
+    through all of its coins.  `abcd` is read only through `shape` and
+    slices `abcd[start:stop]` of consecutive trials, whose coin entries
+    are copied into complex128 buffers, so it may be an object that makes
+    those trials' coins when sliced.
 
     An origin start of at least two trials, a Monte Carlo block, is
     stepped along diagonals (`_evolve_diagonals`); a single walk or an
@@ -114,7 +112,7 @@ def _evolve_block(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     width = w0 + q
     l, r, r_next, t = np.empty((4, width, trials), dtype=np.complex128)
     # coins[j] unpacks into the (1, trials) rows a, b, c, d of step j.
-    coins = np.empty((q, 4, 1, trials), dtype=abcd.dtype)
+    coins = np.empty((q, 4, 1, trials), dtype=np.complex128)
     np.copyto(coins[:, :, 0], abcd[0:trials].transpose(1, 2, 0))
     # Cells a step does not write must read as zero: the left cells past
     # the support and the first right cell.
@@ -180,7 +178,7 @@ def _evolve_diagonals(abcd: np.ndarray, initial: np.ndarray) -> np.ndarray:
     rows = min(trials, max(8, DIAGONAL_WORKSET // (16 * (8 * (q + 1) + 2 * half))))
     cell_buffer = np.empty(8 * (q + 1) * rows, dtype=np.complex128)
     tmp_buffer = np.empty(2 * half * rows, dtype=np.complex128)
-    coin_buffer = np.empty(4 * q * rows, dtype=abcd.dtype)
+    coin_buffer = np.empty(4 * q * rows, dtype=np.complex128)
     probs = np.empty((trials, q + 1))
     views_rows = 0
     for start in range(0, trials, rows):

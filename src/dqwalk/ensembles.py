@@ -64,9 +64,10 @@ SHAPIRA_SERIES_CUTOFF = 1e-8
 _TWO_PI = 2.0 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: Draws `size` coins as an (size, 4) complex array of (a, b, c, d) rows.
-#: The generator is named as text, so that importing this module does not
-#: import `numpy.random`.
+#: Draws `size` rows as a (size, width) complex array: (a, b, c, d) coin
+#: rows of width 4 for an ensemble, (alpha, beta) state rows of width 2 for
+#: an initial-state rule.  The generator is named as text, so that
+#: importing this module does not import `numpy.random`.
 ParameterDraw = Callable[["np.random.Generator", int], np.ndarray]
 
 
@@ -549,8 +550,6 @@ def audit_moments(ensemble: CoinEnsemble, draws: int, seed: int = 0) -> MomentRe
 #: and alpha conj(beta) + conj(alpha) beta = 0.
 CASE_I_DEFAULT = QubitState(_INV_SQRT2, 1j * _INV_SQRT2)
 
-StateDraw = Callable[["np.random.Generator", int], np.ndarray]
-
 
 def _uniform_phase_states(u: np.ndarray) -> np.ndarray:
     theta = _uniform_angle(u)
@@ -577,7 +576,7 @@ class InitialStateRule:
     """
 
     state: QubitState | None = None
-    draw_parameters: StateDraw | None = None
+    draw_parameters: ParameterDraw | None = None
 
     def __post_init__(self) -> None:
         if (self.state is None) == (self.draw_parameters is None):

@@ -110,20 +110,15 @@ class AveragedResult:
             payload["moment_audit"] = self.moment_audit.to_json_dict()
         return payload
 
-    def to_csv_rows(self) -> list[str]:
-        return self.mean_distribution.to_csv_rows()
-
 
 class _SubBlockDraws:
     """The (count, size, width) draws of one trial block, made per slice.
 
     Slicing by trial, ``draws[lo:hi]``, returns the rows of trials lo..hi-1
-    as a new array; `shape` and `dtype` are those of the whole block.  The
+    as a new complex128 array; `shape` is that of the whole block.  The
     evolution kernel reads its coins this way one sub-block at a time, so
     only one sub-block's coins exist at once.
     """
-
-    dtype = np.dtype(np.complex128)
 
     def __init__(self, shape: tuple[int, int, int], rows) -> None:
         self.shape = shape
@@ -135,20 +130,22 @@ class _SubBlockDraws:
 
 
 def _block_draws(
-    draw, sample, master_seed: int, start: int, count: int, stream: int, size: int, width: int
+    draw, master_seed: int, start: int, count: int, stream: int, size: int, width: int
 ) -> _SubBlockDraws:
     """(count, size, width) draws of trials start..start+count-1 on `stream`.
 
-    A `UniformDraw` takes all uniforms from one `block_uniforms` call (8
-    bytes per trial and draw) and applies its transform to the trials of
-    each slice in step order, draw j of every trial before draw j + 1, and
-    reads the rows as (width, size, trials) planes: a view of the
-    column-major rows the catalog's transforms return, a copy of a
-    row-major transform's.  The kernel then copies each step's coin
-    entries from contiguous memory; a transform whose rows are not
-    (trials * size, width) raises ValueError, as `sample_batch` does.  Any
-    other draw runs `sample(rng, size)` on each sliced trial's own
-    `substream`.  Both give the same rows bit for bit, whatever the slices.
+    `draw(rng, size)` is an ensemble's or a random initial-state rule's
+    `draw_parameters`.  A `UniformDraw` takes all uniforms from one
+    `block_uniforms` call (8 bytes per trial and draw) and applies its
+    transform to the trials of each slice in step order, draw j of every
+    trial before draw j + 1, and reads the rows as (width, size, trials)
+    planes: a view of the column-major rows the catalog's transforms
+    return, a copy of a row-major transform's.  The kernel then copies each
+    step's coin entries from contiguous memory.  Any other draw runs
+    `draw(rng, size)` on each sliced trial's own `substream`.  Either way a
+    draw whose rows are not (trials * size, width), or (size, width) for
+    one trial, raises ValueError, as `sample_batch` and `draw_batch` do,
+    and both give the same rows bit for bit, whatever the slices.
     """
     if isinstance(draw, UniformDraw):
         u = block_uniforms(master_seed, start, count, stream, size)
@@ -160,7 +157,8 @@ def _block_draws(
         def rows(lo: int, hi: int) -> np.ndarray:
             out = np.empty((hi - lo, size, width), dtype=np.complex128)
             for i in range(lo, hi):
-                out[i - lo] = sample(substream(master_seed, start + i, stream), size)
+                rng = substream(master_seed, start + i, stream)
+                out[i - lo] = _draw_rows(draw(rng, size), (size, width))
             return out
 
     return _SubBlockDraws((count, size, width), rows)
@@ -181,14 +179,10 @@ def _mc_block(
     n+1) arrays whose row b is the axis-0 sum over block b's own rows, the
     same bits as evolving that block alone.
     """
-    abcd = _block_draws(
-        ensemble.draw_parameters, ensemble.sample_batch,
-        master_seed, start, count, COIN_STREAM, n, 4,
-    )
+    abcd = _block_draws(ensemble.draw_parameters, master_seed, start, count, COIN_STREAM, n, 4)
     if init_rule.state is None:
         initial = _block_draws(
-            init_rule.draw_parameters, init_rule.draw_batch,
-            master_seed, start, count, INIT_STREAM, 1, 2,
+            init_rule.draw_parameters, master_seed, start, count, INIT_STREAM, 1, 2
         )[:][:, 0]
     else:
         initial = init_rule.draw_batch(None, count)

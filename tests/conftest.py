@@ -1,6 +1,7 @@
 """Shared test helpers: generic random unitary coins, a recording process pool,
-the kernel's sub-block rows, and two oracles, the one-row split of a coin
-and the perturbed Hadamard coin of one explicit kick vector."""
+the kernel's sub-block rows, and three oracles, a walk state's site
+probabilities, the one-row split of a coin and the perturbed Hadamard coin
+of one explicit kick vector."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import dqwalk.stats
-from dqwalk import EPS_UNIT, Coin, CoinEnsemble, validate_coin
+from dqwalk import EPS_UNIT, Coin, CoinEnsemble, Distribution, WalkState, validate_coin
+from dqwalk.core import check_norms
 from dqwalk.engine import DIAGONAL_WORKSET
 from dqwalk.ensembles import _su2_kick_parameters
 
@@ -70,6 +72,19 @@ def make_haar_mixture(seed: int, weights) -> CoinEnsemble:
     """A finite ensemble of len(weights) Haar coins, given by its support alone."""
     coins = haar_coins(np.random.default_rng(seed), len(weights))
     return CoinEnsemble(name="haar_mixture", finite_support=tuple(zip(coins, weights)))
+
+
+def distribution_of(state: WalkState) -> Distribution:
+    """Site occupation probabilities |psi_l|^2 + |psi_r|^2 of a walk state.
+
+    Raises
+    ------
+    NumericalDriftError
+        If the total mass is off the budget of `check_norms`.
+    """
+    p = state.psi_l.real**2 + state.psi_l.imag**2 + state.psi_r.real**2 + state.psi_r.imag**2
+    check_norms(p.sum(), state.step)
+    return Distribution(state.step, p)
 
 
 def split_coin(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

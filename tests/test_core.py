@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import haar_coin, split_coin
+from conftest import distribution_of, haar_coin, split_coin
 from dqwalk import (
     EPS_UNIT,
     HADAMARD,
@@ -16,7 +16,6 @@ from dqwalk import (
     NumericalDriftError,
     QubitState,
     WalkState,
-    distribution_of,
     evolve,
     rotation_coin,
     summary_stats,
@@ -141,14 +140,14 @@ class TestDistributionOf:
 
     def test_one_hadamard_step_splits_evenly(self):
         run = evolve(QubitState(1, 0), [HADAMARD])
-        dist = run.distribution()
+        dist = distribution_of(run.final)
         assert dist.prob(-1) == pytest.approx(0.5, abs=1e-15)
         assert dist.prob(1) == pytest.approx(0.5, abs=1e-15)
 
     def test_total_mass_is_one(self):
         rng = np.random.default_rng(9)
         run = evolve(QubitState(1, 0), [haar_coin(rng) for _ in range(40)])
-        assert run.distribution().total() == pytest.approx(1.0, abs=1e-12)
+        assert distribution_of(run.final).total() == pytest.approx(1.0, abs=1e-12)
 
     def test_drift_raises(self):
         bad = WalkState(1, np.array([0.9, 0.0], complex), np.array([0.0, 0.1], complex))
@@ -194,5 +193,5 @@ class TestSummaryStats:
         from dqwalk import CASE_I_DEFAULT
 
         run = evolve(CASE_I_DEFAULT, [HADAMARD] * 100)
-        _, variance = summary_stats(run.distribution())
+        _, variance = summary_stats(distribution_of(run.final))
         assert 0.2 <= variance / 100**2 <= 0.4

@@ -15,14 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqwalk
-from conftest import _draw_haar, diagonal_rows, haar_coins, kernel_rows, split_coin
+from conftest import (
+    _draw_haar,
+    diagonal_rows,
+    distribution_of,
+    haar_coins,
+    kernel_rows,
+    split_coin,
+)
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
     Coin,
     NumericalDriftError,
     QubitState,
-    distribution_of,
     evolve,
     make_fixed,
     make_initial_state,
@@ -123,13 +129,13 @@ class TestEvolve:
 
     def test_zero_steps(self):
         run = evolve(QubitState(1, 0), [])
-        assert dict(run.distribution().items()) == {0: 1.0}
+        assert dict(distribution_of(run.final).items()) == {0: 1.0}
 
     def test_hadamard_matches_brute_force_paths(self):
         phi = QubitState(1, 0)
         run = evolve(phi, [HADAMARD] * 4)
         oracle = brute_force_distribution(phi, [HADAMARD] * 4)
-        dist = run.distribution()
+        dist = distribution_of(run.final)
         for k in range(-4, 5):
             assert dist.prob(k) == pytest.approx(oracle.get(k, 0.0), abs=1e-14)
 
@@ -137,7 +143,7 @@ class TestEvolve:
         rng = np.random.default_rng(17)
         coins = haar_coins(rng, 6)
         phi = QubitState(0.8, 0.6j)
-        dist = evolve(phi, coins).distribution()
+        dist = distribution_of(evolve(phi, coins).final)
         oracle = brute_force_distribution(phi, coins)
         for k in range(-6, 7):
             assert dist.prob(k) == pytest.approx(oracle.get(k, 0.0), abs=1e-13)
@@ -151,13 +157,13 @@ class TestEvolve:
     def test_parity_sites_never_allocated(self):
         rng = np.random.default_rng(2)
         run = evolve(QubitState(1, 0), haar_coins(rng, 7))
-        dist = run.distribution()
+        dist = distribution_of(run.final)
         assert list(dist.sites()) == [-7, -5, -3, -1, 1, 3, 5, 7]
         assert dist.prob(0) == 0.0
         assert dist.prob(2) == 0.0
 
     def test_hadamard_walk_symmetric_from_balanced_state(self):
-        dist = evolve(CASE_I_DEFAULT, [HADAMARD] * 60).distribution()
+        dist = distribution_of(evolve(CASE_I_DEFAULT, [HADAMARD] * 60).final)
         for k in dist.sites():
             assert dist.prob(int(k)) == pytest.approx(dist.prob(-int(k)), abs=1e-12)
 
@@ -217,7 +223,7 @@ def assert_rows_equal_single_evolutions(n: int, trials: int, rows: int, seed: in
     checked = range(trials) if trials <= 8 else {0, rows - 1, rows, trials - 1}
     for t in sorted(t for t in checked if t < trials):
         coins = [Coin(*map(complex, row)) for row in abcd[t]]
-        expected = evolve(QubitState(*initial[t]), coins).distribution().probs
+        expected = distribution_of(evolve(QubitState(*initial[t]), coins).final).probs
         assert np.array_equal(probs[t], expected), t
 
 
@@ -324,7 +330,7 @@ class TestRunRealization:
     def test_fixed_hadamard_matches_explicit_evolution(self):
         init = make_initial_state("caseI")
         dist = run_realization(make_fixed(), init, 12, 99)
-        reference = evolve(CASE_I_DEFAULT, [HADAMARD] * 12).distribution()
+        reference = distribution_of(evolve(CASE_I_DEFAULT, [HADAMARD] * 12).final)
         assert np.array_equal(dist.probs, reference.probs)
 
     def test_repeated_calls_identical(self):
@@ -354,4 +360,4 @@ class TestRunRealization:
         coins = [Coin(*map(complex, row)) for row in rows]
         phi = QubitState(*map(complex, initial[0]))
         dist = run_realization(ensemble, rule, 9, 5, trial=3)
-        assert np.array_equal(dist.probs, evolve(phi, coins).distribution().probs)
+        assert np.array_equal(dist.probs, distribution_of(evolve(phi, coins).final).probs)

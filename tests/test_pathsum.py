@@ -14,7 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _draw_haar, haar_coins, make_haar, shapira_coin, split_coin
+from conftest import (
+    _draw_haar,
+    distribution_of,
+    haar_coins,
+    make_haar,
+    shapira_coin,
+    split_coin,
+)
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
@@ -33,8 +40,13 @@ from dqwalk import (
     make_initial_state,
     make_mackay,
     make_ribeiro_two_point,
+    make_ribeiro_uniform,
+    make_shapira,
+    monte_carlo_average,
+    mu_shapira,
     reconstruct_state,
     rotation_coin,
+    substream,
     summary_stats,
     tv_distance,
 )
@@ -441,7 +453,7 @@ class TestExactAverage:
         alpha, beta = _draw_haar(rng, 1)[0, [0, 2]]
         phi = QubitState(complex(alpha), complex(beta))
         dist = exact_average(make_fixed(coin), make_initial_state(phi), n)
-        assert np.array_equal(dist.probs, evolve(phi, [coin] * n).distribution().probs)
+        assert np.array_equal(dist.probs, distribution_of(evolve(phi, [coin] * n).final).probs)
 
     @staticmethod
     def traced_peak(n, ensemble=make_ribeiro_two_point(0.7854)):
@@ -506,7 +518,7 @@ class TestExactAverage:
             assert np.max(np.abs(dist.probs - expected)) <= 1e-15
             brute = sum(
                 math.prod(w for _, w in seq)
-                * evolve(CASE_I_DEFAULT, [c for c, _ in seq]).distribution().probs
+                * distribution_of(evolve(CASE_I_DEFAULT, [c for c, _ in seq]).final).probs
                 for seq in itertools.product(support, repeat=n)
             )
             assert np.max(np.abs(dist.probs - brute)) <= 1e-15
@@ -597,3 +609,111 @@ class TestKonnoLimit:
         for n in (250, 1000, 2000):
             mean, _ = summary_stats(exact_average(make_fixed(coin), InitialStateRule(state=phi), n))
             assert abs(mean / n - limit) <= 1 / n
+
+
+# Independent coins enter an exact average only through T[a, b, c, d] =
+# E[U_ac conj(U_bd)], so a finite support with a continuous ensemble's T
+# has that ensemble's exact average.
+_H = 1 / math.sqrt(2)
+
+
+def ribeiro_uniform_support() -> CoinEnsemble:
+    """Rotation coins at 0 and pi/2: E cos^2 = E sin^2 = 1/2, E cos sin = 0."""
+    support = ((rotation_coin(0.0), 0.5), (rotation_coin(0.5 * math.pi), 0.5))
+    return CoinEnsemble(name="ribeiro_uniform_support", finite_support=support)
+
+
+def mackay_support() -> CoinEnsemble:
+    """Phase coins at theta = 0, pi/2, pi and 3pi/2, where e^{i theta} is
+    1, i, -1 and -i: the means of e^{+-i theta} and e^{+-2i theta} vanish
+    over these four phases as over the circle."""
+    support = tuple(
+        (Coin(_H, _H * phase, _H * phase.conjugate(), -_H), 0.25) for phase in (1, 1j, -1, -1j)
+    )
+    return CoinEnsemble(name="mackay_support", finite_support=support)
+
+
+def shapira_support(sigma: float) -> CoinEnsemble:
+    """H with weight (1 + 3 lam) / 4 and H sigma_x, H sigma_y, H sigma_z with
+    weight (1 - lam) / 4 each, where lam = 2 mu_shapira(sigma): T is
+    lam H[a, c] conj(H[b, d]) + (1 - lam) delta_ab delta_cd / 2, since the
+    isotropic SU(2) kick has E[V (x) conj V] = lam I (x) I + (1 - lam) delta
+    delta / 2 and sum_k sigma_k (x) conj sigma_k = 2 delta delta - I (x) I."""
+    lam = 2 * mu_shapira(sigma)
+    paulis = ((0, 1, 1, 0), (0, -1j, 1j, 0), (1, 0, 0, -1))
+    coins = [HADAMARD] + [
+        Coin(_H * (p00 + p10), _H * (p01 + p11), _H * (p00 - p10), _H * (p01 - p11))
+        for p00, p01, p10, p11 in paulis
+    ]
+    weights = [(1 + 3 * lam) / 4] + [(1 - lam) / 4] * 3
+    return CoinEnsemble(name="shapira_support", finite_support=tuple(zip(coins, weights)))
+
+
+def sampled_second_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of U_ac conj(U_bd) over (count, 4) coin rows,
+    as (2, 2, 2, 2) arrays indexed [a, b, c, d]."""
+    u = rows.reshape(-1, 2, 2)
+    mean = np.empty((2, 2, 2, 2), dtype=np.complex128)
+    stderr = np.empty((2, 2, 2, 2))
+    for a, b, c, d in itertools.product(range(2), repeat=4):
+        values = u[:, a, c] * np.conj(u[:, b, d])
+        mean[a, b, c, d] = values.mean()
+        stderr[a, b, c, d] = np.sqrt(np.mean(np.abs(values - mean[a, b, c, d]) ** 2) / len(values))
+    return mean, stderr
+
+
+def support_second_moments(ensemble: CoinEnsemble) -> np.ndarray:
+    """T[a, b, c, d] = sum_k w_k U_k[a, c] conj(U_k[b, d]) of a finite support."""
+    t = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+    for coin, weight in ensemble.finite_support:
+        u = np.array([[coin.a, coin.b], [coin.c, coin.d]])
+        t += weight * u[:, np.newaxis, :, np.newaxis] * np.conj(u[np.newaxis, :, np.newaxis, :])
+    return t
+
+
+MOMENT_EQUIVALENT = {
+    "ribeiro_uniform": (make_ribeiro_uniform, ribeiro_uniform_support),
+    "mackay": (make_mackay, mackay_support),
+    **{
+        f"shapira_{sigma}": (lambda s=sigma: make_shapira(s), lambda s=sigma: shapira_support(s))
+        for sigma in (0.3, 1.0, 2.0)
+    },
+}
+
+
+class TestMomentEquivalentSupports:
+    @pytest.mark.parametrize(
+        "name, seed",
+        [("ribeiro_uniform", 3), ("ribeiro_uniform", 4), ("mackay", 3), ("mackay", 4),
+         ("shapira_0.3", 3), ("shapira_1.0", 3), ("shapira_2.0", 3)],
+    )
+    def test_support_has_the_sampled_second_moments(self, name, seed):
+        # Six of mackay's entries, |U_ac|^2 = 1/2 and U_00 conj(U_11) =
+        # -1/2, have no spread, so they are compared without a z-score.
+        continuous, support = MOMENT_EQUIVALENT[name]
+        sampled, stderr = sampled_second_moments(
+            continuous().sample_batch(substream(seed), 200_000)
+        )
+        error = np.abs(sampled - support_second_moments(support()))
+        spread = stderr > 1e-12
+        assert np.all(error[spread] <= 5 * stderr[spread])
+        assert np.all(error[~spread] <= 1e-12)
+
+    @pytest.mark.parametrize("n", [30, 200])
+    @pytest.mark.parametrize("init", ["caseI", (0.6, 0.8j)], ids=str)
+    @pytest.mark.parametrize("support", [ribeiro_uniform_support, mackay_support])
+    def test_collapsing_supports_are_binomial(self, support, init, n):
+        dist = exact_average(support(), make_initial_state(init), n)
+        law = np.array([binomial_law(n, k) for k in dist.sites()])
+        assert np.max(np.abs(dist.probs - law)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    @pytest.mark.parametrize("init", ["caseI", (0.6, 0.8j)], ids=str)
+    @pytest.mark.parametrize("sigma, n", [(0.3, 10), (1.0, 16)])
+    def test_shapira_monte_carlo_agrees_with_its_support(self, sigma, n, init, seed):
+        rule = make_initial_state(init)
+        exact = exact_average(shapira_support(sigma), rule, n)
+        average = monte_carlo_average(make_shapira(sigma), rule, n, 20_000, seed)
+        assert np.all(average.stderr > 0)
+        z = np.abs(average.mean_distribution.probs - exact.probs) / average.stderr
+        assert np.max(z) <= 5

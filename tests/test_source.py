@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,28 @@ def test_every_export_is_used():
         )
         if not used:
             unused.append(name)
+    assert unused == []
+
+
+def test_every_public_member_is_used():
+    # A method or property of an exported class is one the package computes
+    # with or documents: `.name` appears off its definition in a module of
+    # the package, in README.md, or in the acceptance criteria, which are
+    # the API's spec.  Test oracles live in the tests.
+    texts = [path.read_text() for path in SOURCES]
+    texts += [(ROOT / name).read_text() for name in ("README.md", "tests/test_acceptance.py")]
+    unused = []
+    for name in dqwalk.__all__:
+        cls = getattr(dqwalk, name)
+        if not isinstance(cls, type):
+            continue
+        (node,) = ast.parse(textwrap.dedent(inspect.getsource(cls))).body
+        for member in node.body:
+            if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                continue
+            attribute = re.compile(rf"\.{member.name}\b")
+            if not any(attribute.search(text) for text in texts):
+                unused.append(f"{name}.{member.name}")
     assert unused == []
 
 

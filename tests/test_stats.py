@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dqwalk.stats
-from conftest import _draw_haar, kernel_rows, make_haar_mixture
+from conftest import _draw_haar, distribution_of, kernel_rows, make_haar_mixture
 from dqwalk import (
     CASE_I_DEFAULT,
     HADAMARD,
@@ -226,6 +226,11 @@ def _phase_coins_on_unit_interval(rng: np.random.Generator, size: int) -> np.nda
     return _phase_parameters(rng.uniform(-1.0, 1.0, size))
 
 
+def mackay_planes(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Mackay coins as (4, size) planes, not rows, from a plain callable."""
+    return make_mackay().draw_parameters(rng, size).T
+
+
 def two_coin_mixture() -> CoinEnsemble:
     return make_haar_mixture(4, (0.25, 0.75))
 
@@ -327,10 +332,10 @@ class TestSubBlockDraws:
     def check_sub_block_rows(source, n, offset, master_seed, start):
         draw, sample, stream, width = source
         count = kernel_rows(n, 2**62) + offset
-        draws = _block_draws(draw, sample, master_seed, start, count, stream, n, width)
+        draws = _block_draws(draw, master_seed, start, count, stream, n, width)
         eager = eager_block_draws(draw, sample, master_seed, start, count, stream, n, width)
         assert draws.shape == eager.shape
-        assert draws.dtype == eager.dtype
+        assert draws[0:count].dtype == eager.dtype
         rows = kernel_rows(n, count)
         pieces = [draws[lo : lo + rows] for lo in range(0, count, rows)]
         assert len(pieces) == (2 if offset == 1 else 1)
@@ -369,7 +374,7 @@ class TestSubBlockDraws:
         rows = kernel_rows(n, count)
 
         def block(draw):
-            return _block_draws(draw, None, 9, 5, count, COIN_STREAM, n, 4)
+            return _block_draws(draw, 9, 5, count, COIN_STREAM, n, 4)
 
         for lo in range(0, count, rows):
             got, want = block(column_major)[lo : lo + rows], block(row_major)[lo : lo + rows]
@@ -380,22 +385,31 @@ class TestSubBlockDraws:
         assert probs[0].tobytes() == probs[1].tobytes()
 
     @pytest.mark.parametrize("route", ["average", "run", "audit"])
-    def test_transform_of_the_wrong_shape_is_rejected(self, route):
+    def test_transform_of_the_wrong_shape_is_rejected(self, route, pool_sizes):
         # (4, N) planes hold as many entries as the (N, 4) rows, so only
-        # their shape tells them apart; every route reads them as rows.
-        planes = CoinEnsemble(
+        # their shape tells them apart; every route reads them as rows.  An
+        # average draws a `UniformDraw`'s coins for its 10 trials at once,
+        # and any other draw's one trial at a time, on one worker or two
+        # (5121 trials at n = 10 are two runs).
+        uniform_planes = CoinEnsemble(
             "planes", UniformDraw(lambda u: make_mackay().draw_parameters.transform(u).T)
         )
-        rule = make_initial_state("caseI")
+        planes = CoinEnsemble("planes", mackay_planes)
+        ensembles, rule = (uniform_planes, planes), make_initial_state("caseI")
         calls = {
-            "average": (100, lambda: monte_carlo_average(planes, rule, 10, 10, 3, workers=1)),
-            "run": (10, lambda: run_realization(planes, rule, 10, 3)),
-            "audit": (10, lambda: audit_moments(planes, 10, 3)),
+            "average": [
+                (100, partial(monte_carlo_average, uniform_planes, rule, 10, 10, 3, workers=1)),
+                (10, partial(monte_carlo_average, planes, rule, 10, 5121, 3, workers=1)),
+                (10, partial(monte_carlo_average, planes, rule, 10, 5121, 3, workers=2)),
+            ],
+            "run": [(10, partial(run_realization, e, rule, 10, 3)) for e in ensembles],
+            "audit": [(10, partial(audit_moments, e, 10, 3)) for e in ensembles],
         }
-        size, call = calls[route]
-        message = f"draw_parameters returned shape (4, {size}), expected ({size}, 4)"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            call()
+        for size, call in calls[route]:
+            message = f"draw_parameters returned shape (4, {size}), expected ({size}, 4)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+        assert pool_sizes == ([2] if route == "average" else [])
 
     @pytest.mark.parametrize("route", ["average", "run"])
     @pytest.mark.parametrize("draw", ["uniform_planes", "planes", "flat"])
@@ -601,7 +615,7 @@ class TestTvDistance:
 
     def test_binomial_vs_hadamard_walk(self):
         walk = evolve(QubitState(1, 0), [HADAMARD] * 4)
-        value = tv_distance(walk.distribution(), binomial_distribution(4))
+        value = tv_distance(distribution_of(walk.final), binomial_distribution(4))
         assert value == pytest.approx(0.375, abs=1e-12)
         assert value > 0.05
 
@@ -624,7 +638,7 @@ class TestVarianceScan:
     def test_deterministic_walker_matches_direct_evolution(self):
         scan = variance_scan(DeterministicWalker(HADAMARD, CASE_I_DEFAULT), [10, 20])
         run = evolve(CASE_I_DEFAULT, [HADAMARD] * 20)
-        _, expected = summary_stats(run.distribution())
+        _, expected = summary_stats(distribution_of(run.final))
         assert dict(scan.rows)[20] == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_walker_rejects_a_non_unitary_coin(self):
